@@ -689,6 +689,8 @@ func runBenchJSON(path string, stdout, stderr io.Writer) int {
 		{"PacedCell", bench.PacedCell},
 		{"StatsAccumulate", bench.StatsAccumulate},
 		{"CellRepLoop", bench.CellRepLoop},
+		{"VideoCell", bench.VideoCell},
+		{"SpeechScore", bench.SpeechScore},
 	} {
 		r := testing.Benchmark(bm.fn)
 		if r.N == 0 {

@@ -26,6 +26,13 @@
 //   - CellRepLoop: a multi-repetition VoIP cell (the paper's actual
 //     cell shape), dominated by simulation rather than build.
 //
+// The third perf wave added benchmarks for the QoE scoring front end:
+//
+//   - VideoCell: one SD video repetition on a warm access scratch
+//     with some loss, scoring impaired and unimpaired frames.
+//   - SpeechScore: one SpeechQuality call on a library sample with
+//     5% concealed frames.
+//
 // WholeCell and WholeCellTelemetry measure the production path: a
 // per-worker testbed.Scratch is warmed before the timer starts, so
 // iterations pay the in-place carcass reset the cell engine pays,
@@ -39,11 +46,13 @@ import (
 
 	"bufferqoe/internal/media"
 	"bufferqoe/internal/netem"
+	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/sim"
 	"bufferqoe/internal/stats"
 	"bufferqoe/internal/tcp"
 	"bufferqoe/internal/telemetry"
 	"bufferqoe/internal/testbed"
+	"bufferqoe/internal/video"
 	"bufferqoe/internal/voip"
 )
 
@@ -393,5 +402,64 @@ func CellRepLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cell()
+	}
+}
+
+// VideoCell measures one SD video repetition on the production path:
+// a warm access carcass reset, the short-few downstream workload
+// against a 32-packet downlink buffer, and one smoothed 4-second clip
+// streamed, decoded and scored. The buffer is small enough that some
+// frames are impaired (full SSIM/PSNR; 29 of 100) and most are not
+// (cached self-SSIM). The rendered source and its self-SSIM cache are warmed
+// outside the timer, as a worker's CellScratch warms them.
+func VideoCell(b *testing.B) {
+	b.ReportAllocs()
+	wl, err := testbed.LookupAccessScenario("short-few", testbed.DirDown)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := video.NewSource(video.ClipC, video.SD, 4)
+	var scr testbed.Scratch
+	cell := func() video.Result {
+		scr.Reset()
+		a := testbed.NewAccess(testbed.Config{BufferUp: 32, BufferDown: 32, Seed: 42, Scratch: &scr})
+		a.StartWorkload(wl)
+		var res *video.Result
+		a.Eng.Schedule(2*time.Second, func() {
+			video.Start(a.MediaServer, a.MediaClient, src, video.Config{Smooth: true, Seed: 42}, func(r video.Result) {
+				res = &r
+				a.Eng.Halt()
+			})
+		})
+		a.Eng.RunFor(time.Minute)
+		if res == nil {
+			b.Fatal("stream did not complete")
+		}
+		return *res
+	}
+	if r := cell(); r.FramesImpaired == 0 || r.FramesImpaired == src.Frames() {
+		b.Fatalf("%d of %d frames impaired; the bench needs a mix", r.FramesImpaired, src.Frames())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell()
+	}
+}
+
+// SpeechScore measures one SpeechQuality call on an 8-second library
+// sample against a copy with every 20th frame concealed (zeroed), the
+// shape voip.Call hands the estimator: untouched and lost frames only.
+func SpeechScore(b *testing.B) {
+	b.ReportAllocs()
+	ref := media.SpeechSample(42, 0).PCM
+	deg := append([]float64(nil), ref...)
+	for off := 0; off+media.FrameSamples <= len(deg); off += 20 * media.FrameSamples {
+		clear(deg[off : off+media.FrameSamples])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if qoe.SpeechQuality(ref, deg, media.SampleRate) <= 1 {
+			b.Fatal("concealed sample scored at the floor")
+		}
 	}
 }

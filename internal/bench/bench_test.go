@@ -12,3 +12,5 @@ func BenchmarkWifiCell(b *testing.B)           { WifiCell(b) }
 func BenchmarkPacedCell(b *testing.B)          { PacedCell(b) }
 func BenchmarkStatsAccumulate(b *testing.B)    { StatsAccumulate(b) }
 func BenchmarkCellRepLoop(b *testing.B)        { CellRepLoop(b) }
+func BenchmarkVideoCell(b *testing.B)          { VideoCell(b) }
+func BenchmarkSpeechScore(b *testing.B)        { SpeechScore(b) }

@@ -314,13 +314,12 @@ func voipBackboneTask(o Options, scenario string, buf int, v backboneVariant) en
 		cfg.Scratch = cs.tb()
 		b := testbed.NewBackbone(cfg)
 		wl.start(b)
-		lib := cs.library(seed)
 		rule := oc.stop()
 		mosS := cs.sample(0)
 		for i := 0; i < oc.Reps; i++ {
-			i := i
+			sample := cs.speech(seed, i)
 			b.Eng.Schedule(oc.Warmup+time.Duration(i)*callSpacing, func() {
-				voip.Start(b.MediaServer, b.MediaClient, lib[i%len(lib)], 0,
+				voip.Start(b.MediaServer, b.MediaClient, sample, 0,
 					func(r voip.Result) {
 						mosS.Add(r.MOS)
 						if mosS.N() == oc.Reps || rule.done(mosS) {
@@ -354,10 +353,9 @@ func playoutTask(o Options, mode string) engine.Task {
 		oc.Seed = seed
 		a := testbed.NewAccess(testbed.Config{BufferUp: 256, BufferDown: 256, Seed: seed, Scratch: cs.tb()})
 		wl.start(a)
-		lib := cs.library(seed)
 		mosS, z1S, lossS := cs.sample(0), cs.sample(1), cs.sample(2)
 		for i := 0; i < oc.Reps; i++ {
-			i := i
+			sample := cs.speech(seed, i)
 			a.Eng.Schedule(oc.Warmup+time.Duration(i)*callSpacing, func() {
 				done := func(r voip.Result) {
 					mosS.Add(r.MOS)
@@ -368,9 +366,9 @@ func playoutTask(o Options, mode string) engine.Task {
 					}
 				}
 				if mode == "adaptive" {
-					voip.StartAdaptive(a.MediaServer, a.MediaClient, lib[i%len(lib)], done)
+					voip.StartAdaptive(a.MediaServer, a.MediaClient, sample, done)
 				} else {
-					voip.Start(a.MediaServer, a.MediaClient, lib[i%len(lib)], 0, done)
+					voip.Start(a.MediaServer, a.MediaClient, sample, 0, done)
 				}
 			})
 		}

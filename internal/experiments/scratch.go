@@ -10,15 +10,20 @@ import (
 
 // CellScratch is the per-worker reusable working memory of the cell
 // runners: the testbed's bottleneck monitors (mutable, Reset between
-// cells) and two immutable content caches — the G.711 speech library
-// per seed and rendered video sources per (clip, profile, length).
-// Rendering a clip or synthesizing the speech library costs far more
+// cells) and two content caches — G.711 speech samples per (seed,
+// sample index) and rendered video sources per (clip, profile,
+// length). Synthesizing speech or rendering a clip costs far more
 // than a small cell's network simulation, so reusing them across the
 // cells of a sweep is one of the larger wins of the scratch design.
+// Speech is cached per sample, not per 20-sample library: a cell
+// synthesizes only the samples its calls play.
 //
-// Reuse safety: the caches hold content that is a pure function of
-// their key and is only ever read by consumers, so a cache hit is
-// bit-identical to a rebuild; everything mutable lives behind Reset.
+// Reuse safety: cache entries are pure functions of their key, so a
+// cache hit is bit-identical to a rebuild. Consumers never write a
+// speech sample or a source's frames; a Source's only mutable part
+// is its lazily filled self-SSIM cache, itself a pure function of
+// the frames, and a scratch serves one cell at a time. Everything
+// else mutable lives behind Reset.
 type CellScratch struct {
 	// Testbed holds the queue/link monitors a testbed build would
 	// otherwise allocate per cell, plus the cached testbed carcasses
@@ -32,8 +37,13 @@ type CellScratch struct {
 	// sample(i), which resets before handing out.
 	repSamples [4]stats.Sample
 
-	lib     map[uint64][]*media.Sample
-	sources map[sourceKey]*video.Source
+	speechCache map[speechKey]*media.Sample
+	sources     map[sourceKey]*video.Source
+}
+
+type speechKey struct {
+	seed  uint64
+	index int
 }
 
 type sourceKey struct {
@@ -44,8 +54,8 @@ type sourceKey struct {
 
 func newCellScratch() *CellScratch {
 	return &CellScratch{
-		lib:     map[uint64][]*media.Sample{},
-		sources: map[sourceKey]*video.Source{},
+		speechCache: map[speechKey]*media.Sample{},
+		sources:     map[sourceKey]*video.Source{},
 	}
 }
 
@@ -84,17 +94,19 @@ func (cs *CellScratch) tb() *testbed.Scratch {
 	return &cs.Testbed
 }
 
-// library returns the speech library for a seed, cached across cells.
-func (cs *CellScratch) library(seed uint64) []*media.Sample {
+// speech returns speech library sample i (wrapped modulo the
+// library size) for a seed, cached across cells.
+func (cs *CellScratch) speech(seed uint64, i int) *media.Sample {
+	k := speechKey{seed: seed, index: i % media.LibrarySize}
 	if cs == nil {
-		return media.Library(seed)
+		return media.SpeechSample(seed, k.index)
 	}
-	if lib, ok := cs.lib[seed]; ok {
-		return lib
+	if s, ok := cs.speechCache[k]; ok {
+		return s
 	}
-	lib := media.Library(seed)
-	cs.lib[seed] = lib
-	return lib
+	s := media.SpeechSample(seed, k.index)
+	cs.speechCache[k] = s
+	return s
 }
 
 // source returns the rendered video source for a clip/profile/length,

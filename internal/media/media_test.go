@@ -1,6 +1,8 @@
 package media
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,5 +129,54 @@ func TestLibraryDeterministic(t *testing.T) {
 	c := Library(8)
 	if a[0].PCM[100] == c[0].PCM[100] && a[0].PCM[5000] == c[0].PCM[5000] {
 		t.Fatal("different seeds gave identical samples")
+	}
+}
+
+// libraryDigest hashes every sample's name, voice and PCM bits.
+func libraryDigest(lib []*Sample) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, s := range lib {
+		h.Write([]byte(s.Name + s.Voice))
+		for _, v := range s.PCM {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestLibraryDigestPinned pins the library content, so per-sample
+// synthesis cannot drift from the whole-library synthesis the golden
+// cross-section was recorded with.
+func TestLibraryDigestPinned(t *testing.T) {
+	for seed, want := range map[uint64]uint64{1: 0x4903b0a9dfc31a86, 42: 0xc7b5d7fac49c0704} {
+		if got := libraryDigest(Library(seed)); got != want {
+			t.Errorf("Library(%d) digest %#x, want %#x", seed, got, want)
+		}
+	}
+}
+
+// TestSpeechSampleMatchesLibrary checks that synthesizing samples one
+// at a time, in reverse order, gives Library's samples bit for bit.
+func TestSpeechSampleMatchesLibrary(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
+		lib := Library(seed)
+		if len(lib) != LibrarySize {
+			t.Fatalf("library size %d, want %d", len(lib), LibrarySize)
+		}
+		for i := LibrarySize - 1; i >= 0; i-- {
+			s := SpeechSample(seed, i)
+			want := lib[i]
+			if s.Name != want.Name || s.Voice != want.Voice || len(s.PCM) != len(want.PCM) {
+				t.Fatalf("seed %d sample %d: got %s/%s/%d samples, want %s/%s/%d",
+					seed, i, s.Name, s.Voice, len(s.PCM), want.Name, want.Voice, len(want.PCM))
+			}
+			for j, v := range s.PCM {
+				if math.Float64bits(v) != math.Float64bits(want.PCM[j]) {
+					t.Fatalf("seed %d sample %d differs at %d: %v vs %v", seed, i, j, v, want.PCM[j])
+				}
+			}
+		}
 	}
 }

@@ -101,24 +101,36 @@ func segmentEnvelope(i, n int) float64 {
 	return e
 }
 
+// LibrarySize is the number of samples in the speech library.
+const LibrarySize = 20
+
 // Library synthesizes the stand-in for the ITU-recommended set of 20
 // speech samples (P.862 Annex A): 10 male (F0 ~110 Hz) and 10 female
 // (F0 ~210 Hz) recordings of eight seconds each, passed through the
 // G.711 A-law codec as the paper's error-free references were.
+// Library(seed)[i] is SpeechSample(seed, i).
 func Library(seed uint64) []*Sample {
-	out := make([]*Sample, 0, 20)
-	for i := 0; i < 20; i++ {
-		voice, f0 := "male", 110.0
-		if i%2 == 1 {
-			voice, f0 = "female", 210.0
-		}
-		rng := sim.NewRNG(seed, fmt.Sprintf("speech-%d", i))
-		pcm := GenerateSpeech(rng, 8.0, f0)
-		out = append(out, &Sample{
-			Name:  fmt.Sprintf("sample-%02d-%s", i, voice),
-			Voice: voice,
-			PCM:   ALawRoundTrip(pcm),
-		})
+	out := make([]*Sample, LibrarySize)
+	for i := range out {
+		out[i] = SpeechSample(seed, i)
 	}
 	return out
+}
+
+// SpeechSample synthesizes the i-th library sample on its own: each
+// sample draws from its own named RNG stream ("speech-<i>"), so it
+// does not depend on which other samples were synthesized, or in
+// what order. Even indices are male voices, odd ones female.
+func SpeechSample(seed uint64, i int) *Sample {
+	voice, f0 := "male", 110.0
+	if i%2 == 1 {
+		voice, f0 = "female", 210.0
+	}
+	rng := sim.NewRNG(seed, fmt.Sprintf("speech-%d", i))
+	pcm := GenerateSpeech(rng, 8.0, f0)
+	return &Sample{
+		Name:  fmt.Sprintf("sample-%02d-%s", i, voice),
+		Voice: voice,
+		PCM:   ALawRoundTrip(pcm),
+	}
 }

@@ -26,14 +26,11 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 	if frame == 0 || n < frame {
 		return 1
 	}
-	bands := speechBands(sampleRate)
-	// One Hann window and two band-level buffers per call, shared by
-	// every frame: the per-sample cosine used to dominate the CPU
-	// profile (it was recomputed per band, per signal, per frame) and
-	// the per-frame level slices dominated the allocation profile.
-	win := hannWindow(frame)
-	lr := make([]float64, len(bands))
-	ld := make([]float64, len(bands))
+	// Band analysis (band centers, Hann window, two level buffers) is
+	// set up only once a frame actually needs it: on the VoIP path
+	// almost every frame is untouched or lost, and neither kind does.
+	var bands, win []float64
+	var lrBuf, ldBuf [maxBands]float64
 
 	// Two disturbance components, PESQ-style:
 	//   - gross temporal disruptions (concealment gaps, bursts) —
@@ -48,6 +45,17 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 	for off := 0; off+frame <= n; off += frame {
 		rf := ref[off : off+frame]
 		df := deg[off : off+frame]
+		if untouched(rf, df) {
+			// Every term an untouched frame feeds — totalDiff, each
+			// band diff, the distBg increment — is exactly zero, and
+			// a silent one never counts as injected noise; only the
+			// activity counters move (DESIGN.md, "Third perf wave").
+			if rms(rf) > 0.01 {
+				nActive++
+				nBg++
+			}
+			continue
+		}
 		eRef := rms(rf)
 		eDeg := rms(df)
 		if eRef <= 0.01 {
@@ -68,6 +76,10 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 		// signals there keeps quantization noise in empty bands from
 		// dominating the distortion.
 		floor := eRef*eRef*1e-4 + 1e-8
+		if win == nil {
+			bands, win = analysis(sampleRate)
+		}
+		lr, ld := lrBuf[:len(bands)], ldBuf[:len(bands)]
 		bandLevels(lr, rf, win, sampleRate, bands, floor)
 		bandLevels(ld, df, win, sampleRate, bands, floor)
 		var d float64
@@ -107,6 +119,46 @@ func SpeechQuality(ref, deg []float64, sampleRate int) float64 {
 		mos = 1
 	}
 	return mos
+}
+
+// untouchedLimit bounds the samples of a frame untouched may report:
+// below it every square, Goertzel state and band power of a 20 ms
+// frame stays finite, so equal inputs give equal, finite terms and
+// their differences are exactly zero.
+const untouchedLimit = 1e100
+
+// untouched reports whether the degraded frame equals the reference
+// frame element by element, with every sample finite and below
+// untouchedLimit in magnitude. NaN never compares equal and ±Inf
+// exceeds the limit, so such frames take the full analysis path.
+//
+//qoe:hotpath
+func untouched(ref, deg []float64) bool {
+	for i, v := range ref {
+		if v != deg[i] || v > untouchedLimit || v < -untouchedLimit {
+			return false
+		}
+	}
+	return true
+}
+
+// maxBands is the most analysis bands speechBands returns.
+const maxBands = 8
+
+// The 8 kHz telephony analysis setup, built once: the same values a
+// per-call build produces, without its allocations.
+var (
+	narrowbandBands = speechBands(8000)
+	narrowbandWin   = hannWindow(8000 / 50)
+)
+
+// analysis returns the band centers and the one-frame Hann window
+// every analysed frame at a sample rate shares.
+func analysis(sampleRate int) (bands, win []float64) {
+	if sampleRate == 8000 {
+		return narrowbandBands, narrowbandWin
+	}
+	return speechBands(sampleRate), hannWindow(sampleRate / 50)
 }
 
 // speechBands returns the analysis band center frequencies, roughly

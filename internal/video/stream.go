@@ -333,12 +333,8 @@ func (st *Stream) finish() {
 		if lostSlices > 0 {
 			res.PacketsLost += (lostSlices*st.packetsOfFrame(t) + p.Slices - 1) / p.Slices
 		}
-		s := qoe.SSIM(ref, decoded, p.W, p.H)
+		s, pn := st.src.scoreFrame(t, decoded, impaired)
 		ssimSum += s
-		pn := qoe.PSNR(ref, decoded)
-		if pn > 60 {
-			pn = 60
-		}
 		psnrSum += pn
 		prev, decoded = decoded, prev
 	}
@@ -351,6 +347,22 @@ func (st *Stream) finish() {
 	if st.onDone != nil {
 		st.onDone(res)
 	}
+}
+
+// scoreFrame returns the SSIM and PSNR (capped at 60 dB) of decoded
+// frame t against its reference. A frame with no corrupt slice
+// decodes to a byte copy of its reference, so its SSIM is the cached
+// self-SSIM and its PSNR (+Inf for identical frames) the cap.
+func (s *Source) scoreFrame(t int, decoded []uint8, impaired bool) (ssim, psnr float64) {
+	if !impaired {
+		return s.selfSSIM(t), 60
+	}
+	ref := s.Frame(t)
+	ssim = qoe.SSIM(ref, decoded, s.Profile.W, s.Profile.H)
+	if psnr = qoe.PSNR(ref, decoded); psnr > 60 {
+		psnr = 60
+	}
+	return ssim, psnr
 }
 
 // packetsOfFrame recomputes how many packets frame t was sent in.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"bufferqoe/internal/qoe"
 	"bufferqoe/internal/sim"
 )
 
@@ -62,12 +63,19 @@ var (
 // Clips lists the reference content in paper order.
 var Clips = []Clip{ClipA, ClipB, ClipC}
 
-// Source lazily renders and caches the frames of one (clip, profile)
-// pair so repeated runs don't re-synthesize content.
+// Source renders the frames of one (clip, profile) pair once, so
+// repeated runs don't re-synthesize content. It also caches each
+// frame's self-SSIM, filled on first use; a Source is therefore not
+// safe for concurrent streams on different goroutines.
 type Source struct {
 	Clip    Clip
 	Profile Profile
 	frames  [][]uint8
+
+	// self[t] is qoe.SSIM(Frame(t), Frame(t)), valid once
+	// selfKnown[t] is set.
+	self      []float64
+	selfKnown []bool
 }
 
 // NewSource creates a frame source for the given duration in seconds.
@@ -86,6 +94,24 @@ func (s *Source) Frames() int { return len(s.frames) }
 
 // Frame returns the t-th reference luma plane.
 func (s *Source) Frame(t int) []uint8 { return s.frames[t] }
+
+// selfSSIM returns qoe.SSIM(Frame(t), Frame(t)), computed on first use
+// and cached: the score of a frame that decoded without loss. It is
+// cached rather than taken to be 1, because the algebra gives exactly
+// 1 only where the compiler does not fuse multiply-adds; calling SSIM
+// on the same bytes is bit-identical on every architecture.
+func (s *Source) selfSSIM(t int) float64 {
+	if s.self == nil {
+		s.self = make([]float64, len(s.frames))
+		s.selfKnown = make([]bool, len(s.frames))
+	}
+	if !s.selfKnown[t] {
+		f := s.frames[t]
+		s.self[t] = qoe.SSIM(f, f, s.Profile.W, s.Profile.H)
+		s.selfKnown[t] = true
+	}
+	return s.self[t]
+}
 
 // renderFrame procedurally generates a luma plane: moving sinusoidal
 // structure (global pan driven by Motion) over a static texture field
