@@ -15,9 +15,11 @@
 //     constructors of the same type), asymmetric uplink buffers, AQM
 //     disciplines, congestion control, and last-hop jitter, swept as a
 //     scenario x buffer x probe grid through the parallel cell engine;
-//   - a streaming, context-aware execution surface (SweepStream,
-//     SweepCtx, RunCtx, Session.WithContext, Options.OnProgress):
-//     cells arrive as workers complete them, deadlines and
+//   - a streaming, context-aware execution surface: every Session
+//     method that runs cells takes a context.Context first (Run,
+//     RunAll, Measure*, SweepCtx, SweepStream, Recommend; Sweep alone
+//     is context-free), cells arrive as workers complete them
+//     (SweepStream, Options.OnProgress), and deadlines and
 //     cancellations abandon queued work promptly (ErrCanceled) while
 //     in-flight cells drain into the cache;
 //   - buffer sizing: static calculators for the schemes the paper
@@ -26,11 +28,11 @@
 //     instead of sweeping it exhaustively.
 //
 // All state lives in a Session (engine, cache, worker pool); the
-// package-level functions operate on a process-wide default session,
-// and independent callers create their own with NewSession. Results
-// are a pure function of the specs and options — never of session,
-// scheduling, parallelism, or whether a batch, stream, or search
-// computed them.
+// package-level Run, RunAll, Measure* and Recommend functions operate
+// on a process-wide default session, and independent callers create
+// their own with NewSession. Results are a pure function of the specs
+// and options — never of session, scheduling, parallelism, or whether
+// a batch, stream, or search computed them.
 //
 // Everything runs on a deterministic discrete-event simulation of the
 // paper's two testbeds; see DESIGN.md for the substitutions made for
@@ -38,6 +40,7 @@
 package bufferqoe
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -185,7 +188,9 @@ func (r *Result) Lookup(grid int, row, col string) (float64, bool) {
 func Experiments() []string { return experiments.IDs() }
 
 // Run executes one experiment by ID on the default session.
-func Run(id string, o Options) (*Result, error) { return defaultSession.Run(id, o) }
+func Run(id string, o Options) (*Result, error) {
+	return defaultSession.Run(context.Background(), id, o)
+}
 
 // Outcome is one experiment's entry in a RunAll batch: the result or
 // the error, plus the wall time spent.
@@ -199,21 +204,14 @@ type Outcome struct {
 // RunAll executes a batch of experiments through the default
 // session's cell engine and returns one Outcome per ID, in input
 // order. Experiments run concurrently and their cells fan out across
-// the worker pool (see SetParallelism); a failing experiment records
-// its error without stopping the batch, and cells shared between
-// experiments are simulated once per session. Results are
-// bit-identical to running each ID alone, sequentially: every cell's
-// seed is derived from its canonical spec, never from scheduling.
-func RunAll(ids []string, o Options) []Outcome { return defaultSession.RunAll(ids, o) }
-
-// SetParallelism resizes the default session's worker pool; n <= 0
-// means GOMAXPROCS. Parallelism never changes results. Independent
-// callers should prefer their own Session over resizing the shared
-// default.
-func SetParallelism(n int) { defaultSession.SetParallelism(n) }
-
-// Parallelism returns the default session's worker-pool size.
-func Parallelism() int { return defaultSession.Parallelism() }
+// the worker pool; a failing experiment records its error without
+// stopping the batch, and cells shared between experiments are
+// simulated once per session. Results are bit-identical to running
+// each ID alone, sequentially: every cell's seed is derived from its
+// canonical spec, never from scheduling.
+func RunAll(ids []string, o Options) []Outcome {
+	return defaultSession.RunAll(context.Background(), ids, o)
+}
 
 // EngineStats is a snapshot of the cell engine's counters: pool size,
 // cached cells, how many cell requests were answered from the cache
@@ -245,9 +243,6 @@ type EngineStats struct {
 	StoreMisses uint64
 	StoreWrites uint64
 }
-
-// Stats snapshots the default session's cell engine.
-func Stats() EngineStats { return defaultSession.Stats() }
 
 // Network selects a testbed.
 type Network string
@@ -312,7 +307,7 @@ type VoIPResult struct {
 // median scores. Unknown scenarios, directions, or non-positive
 // buffers return an error.
 func MeasureVoIP(n Network, scenario string, dir Direction, buffer int, o Options) (VoIPResult, error) {
-	return defaultSession.MeasureVoIP(n, scenario, dir, buffer, o)
+	return defaultSession.MeasureVoIP(context.Background(), n, scenario, dir, buffer, o)
 }
 
 // WebResult is the outcome of a MeasureWeb probe.
@@ -325,7 +320,7 @@ type WebResult struct {
 // MeasureWeb fetches the paper's static page under the named workload
 // and returns the median page load time with its G.1030 score.
 func MeasureWeb(n Network, scenario string, dir Direction, buffer int, o Options) (WebResult, error) {
-	return defaultSession.MeasureWeb(n, scenario, dir, buffer, o)
+	return defaultSession.MeasureWeb(context.Background(), n, scenario, dir, buffer, o)
 }
 
 // VideoResult is the outcome of a MeasureVideo probe.
@@ -338,11 +333,8 @@ type VideoResult struct {
 // MeasureVideo streams the paper's clip C at "SD" (4 Mbit/s) or "HD"
 // (8 Mbit/s) and returns the median SSIM with its MOS mapping.
 func MeasureVideo(n Network, scenario, profile string, buffer int, o Options) (VideoResult, error) {
-	return defaultSession.MeasureVideo(n, scenario, profile, buffer, o)
+	return defaultSession.MeasureVideo(context.Background(), n, scenario, profile, buffer, o)
 }
-
-// SweepGrid runs a sweep on the default session; see Session.Sweep.
-func SweepGrid(sw Sweep, o Options) (*Grid, error) { return defaultSession.Sweep(sw, o) }
 
 // Scheme is one buffer sizing recommendation.
 type Scheme struct {

@@ -41,7 +41,8 @@ func TestRunUnknown(t *testing.T) {
 
 func TestRunAllCollectsErrors(t *testing.T) {
 	ids := []string{"table2", "bogus", "fig1a", "fig1b"}
-	outcomes := RunAll(ids, probeOpts())
+	s := NewSession()
+	outcomes := s.RunAll(t.Context(), ids, probeOpts())
 	if len(outcomes) != len(ids) {
 		t.Fatalf("got %d outcomes for %d ids", len(outcomes), len(ids))
 	}
@@ -62,20 +63,20 @@ func TestRunAllCollectsErrors(t *testing.T) {
 		}
 	}
 	// fig1a and fig1b share the CDN population cell.
-	if st := Stats(); st.Hits == 0 {
+	if st := s.Stats(); st.Hits == 0 {
 		t.Fatalf("no cache hits across the batch: %+v", st)
 	}
 }
 
 func TestParallelismControls(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", Parallelism())
+	s := NewSession()
+	s.SetParallelism(3)
+	if s.Parallelism() != 3 {
+		t.Fatalf("Parallelism() = %d after SetParallelism(3)", s.Parallelism())
 	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("default parallelism = %d", Parallelism())
+	s.SetParallelism(0)
+	if s.Parallelism() < 1 {
+		t.Fatalf("default parallelism = %d", s.Parallelism())
 	}
 }
 

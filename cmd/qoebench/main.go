@@ -380,7 +380,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	outcomes := session.RunAllCtx(ctx, ids, opt)
+	outcomes := session.RunAll(ctx, ids, opt)
 	total := time.Since(start)
 
 	var failed []bufferqoe.Outcome

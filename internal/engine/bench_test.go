@@ -36,7 +36,7 @@ func benchTasks() []Task {
 func BenchmarkBatchSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New(1)
-		e.RunBatch(benchTasks())
+		runBatch(e, benchTasks())
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkBatchSequential(b *testing.B) {
 func BenchmarkBatchParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New(0)
-		e.RunBatch(benchTasks())
+		runBatch(e, benchTasks())
 	}
 }
 
@@ -53,9 +53,9 @@ func BenchmarkBatchParallel(b *testing.B) {
 // hit.
 func BenchmarkBatchWarmCache(b *testing.B) {
 	e := New(0)
-	e.RunBatch(benchTasks())
+	runBatch(e, benchTasks())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunBatch(benchTasks())
+		runBatch(e, benchTasks())
 	}
 }

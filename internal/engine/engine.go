@@ -136,13 +136,13 @@ type Engine struct {
 	// store, when non-nil, is the persistent second cache tier: an
 	// in-memory miss consults it before acquiring a worker slot, and a
 	// fresh compute writes through to it. Guarded by mu (read once per
-	// DoCtx miss path); nil is the detached state.
+	// Do miss path); nil is the detached state.
 	store       CellStore
 	storeHits   atomic.Uint64
 	storeMisses atomic.Uint64
 	storeWrites atomic.Uint64
 
-	// Live gauges: maintained on every DoCtx path (including panics
+	// Live gauges: maintained on every Do path (including panics
 	// and canceled-batch abandonment) so Stats stays consistent — each
 	// increment has a matching decrement on every exit.
 	inFlight   atomic.Int64
@@ -151,7 +151,7 @@ type Engine struct {
 
 	// collector, when non-nil, mirrors every counter and gauge into a
 	// telemetry.Collector and enables the per-cell extras that cost
-	// something (wall-clock reads, pprof labels). Loaded once per DoCtx
+	// something (wall-clock reads, pprof labels). Loaded once per Do
 	// call; nil is the zero-overhead disabled state.
 	collector atomic.Pointer[telemetry.Collector]
 
@@ -263,19 +263,13 @@ func (e *Engine) Workers() int {
 // A panicking cell never poisons the engine: the worker slot is
 // released, the cache entry is dropped (a retry recomputes), and the
 // panic propagates to the computing caller and any coalesced waiters.
-func (e *Engine) Do(spec CellSpec, fn CellFunc) any {
-	// context.Background is never canceled, so DoCtx cannot fail here.
-	v, _ := e.DoCtx(context.Background(), spec, fn)
-	return v
-}
-
-// DoCtx is Do with cancellation: a call whose ctx is canceled before
-// the cell starts executing returns ErrCanceled and leaves the engine
-// exactly as if the call never happened (no cache entry, no leaked
-// worker slot — a later call recomputes). Once a cell is executing it
-// runs to completion and is cached; cancellation only prevents
-// execution from starting.
-func (e *Engine) DoCtx(ctx context.Context, spec CellSpec, fn CellFunc) (any, error) {
+//
+// A call whose ctx is canceled before the cell starts executing
+// returns ErrCanceled and leaves the engine exactly as if the call
+// never happened (no cache entry, no leaked worker slot — a later
+// call recomputes). Once a cell is executing it runs to completion
+// and is cached; cancellation only prevents execution from starting.
+func (e *Engine) Do(ctx context.Context, spec CellSpec, fn CellFunc) (any, error) {
 	spec = spec.Canonical()
 	k := spec.Key()
 	// One collector load per call: the nil check is the entire cost of
@@ -495,16 +489,11 @@ func (e *Engine) abandon(k string, ent *entry, col *telemetry.Collector) {
 
 // RunBatch fans a batch of cells out across the worker pool and
 // returns their values in submission order. Duplicate specs within a
-// batch (or against other in-flight batches) are computed once.
-func (e *Engine) RunBatch(tasks []Task) []any {
-	out, _ := e.RunBatchCtx(context.Background(), tasks)
-	return out
-}
-
-// RunBatchCtx is RunBatch with cancellation: it returns ErrCanceled —
-// and a nil slice — if ctx was canceled before every task executed.
-// In-flight tasks drain into the cache; queued tasks are abandoned.
-func (e *Engine) RunBatchCtx(ctx context.Context, tasks []Task) ([]any, error) {
+// batch (or against other in-flight batches) are computed once. It
+// returns ErrCanceled — and a nil slice — if ctx was canceled before
+// every task executed: in-flight tasks drain into the cache, queued
+// tasks are abandoned.
+func (e *Engine) RunBatch(ctx context.Context, tasks []Task) ([]any, error) {
 	out := make([]any, len(tasks))
 	errs := make([]error, len(tasks))
 	e.SubmitBatch(ctx, tasks, func(i int, v any, err error) {
@@ -531,7 +520,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, tasks []Task, each func(i int,
 	for i, t := range tasks {
 		go func(i int, t Task) {
 			defer wg.Done()
-			v, err := e.DoCtx(ctx, t.Spec, t.Fn)
+			v, err := e.Do(ctx, t.Spec, t.Fn)
 			each(i, v, err)
 		}(i, t)
 	}

@@ -18,6 +18,19 @@ func spec(buf int) CellSpec {
 	}
 }
 
+// do runs one cell under a context that is never canceled, so Do
+// cannot fail.
+func do(e *Engine, s CellSpec, fn CellFunc) any {
+	v, _ := e.Do(context.Background(), s, fn)
+	return v
+}
+
+// runBatch is RunBatch under a context that is never canceled.
+func runBatch(e *Engine, tasks []Task) []any {
+	out, _ := e.RunBatch(context.Background(), tasks)
+	return out
+}
+
 func TestCanonicalDropsIdleDirection(t *testing.T) {
 	a := spec(64)
 	a.Scenario = "noBG"
@@ -119,8 +132,8 @@ func TestDoMemoizes(t *testing.T) {
 		calls.Add(1)
 		return seed
 	}
-	v1 := e.Do(spec(64), fn)
-	v2 := e.Do(spec(64), fn)
+	v1 := do(e, spec(64), fn)
+	v2 := do(e, spec(64), fn)
 	if v1 != v2 {
 		t.Fatalf("cached value changed: %v vs %v", v1, v2)
 	}
@@ -146,7 +159,7 @@ func TestDoCoalescesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.Do(spec(64), fn)
+			do(e, spec(64), fn)
 		}()
 	}
 	wg.Wait()
@@ -175,7 +188,7 @@ func TestRunBatchOrderAndParallelism(t *testing.T) {
 	for _, b := range bufs {
 		tasks = append(tasks, Task{Spec: spec(b), Fn: fn})
 	}
-	out := e.RunBatch(tasks)
+	out := runBatch(e, tasks)
 	for i, b := range bufs {
 		if out[i] != b {
 			t.Fatalf("out[%d] = %v, want %d (order not preserved)", i, out[i], b)
@@ -203,8 +216,8 @@ func TestSchedulingOrderIndependence(t *testing.T) {
 	for i := len(fwd) - 1; i >= 0; i-- {
 		rev = append(rev, fwd[i])
 	}
-	a := New(8).RunBatch(fwd)
-	b := New(1).RunBatch(rev)
+	a := runBatch(New(8), fwd)
+	b := runBatch(New(1), rev)
 	for i := range a {
 		if a[i] != b[len(b)-1-i] {
 			t.Fatalf("cell %d differs across schedules: %v vs %v", i, a[i], b[len(b)-1-i])
@@ -217,7 +230,7 @@ func TestPanickingCellDoesNotPoisonEngine(t *testing.T) {
 	boom := func(CellSpec, uint64, Scratch) any { panic("cell exploded") }
 	mustPanic := func() (r any) {
 		defer func() { r = recover() }()
-		e.Do(spec(8), boom)
+		do(e, spec(8), boom)
 		return nil
 	}
 	if r := mustPanic(); r != "cell exploded" {
@@ -226,13 +239,13 @@ func TestPanickingCellDoesNotPoisonEngine(t *testing.T) {
 	// The poisoned entry must be gone: a retry recomputes...
 	var calls atomic.Int64
 	good := func(sp CellSpec, seed uint64, _ Scratch) any { calls.Add(1); return seed }
-	e.Do(spec(8), good)
+	do(e, spec(8), good)
 	if calls.Load() != 1 {
 		t.Fatalf("retry after panic computed %d times", calls.Load())
 	}
 	// ...and the worker slot was released: a different cell still runs.
 	done := make(chan struct{})
-	go func() { e.Do(spec(16), good); close(done) }()
+	go func() { do(e, spec(16), good); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -254,7 +267,7 @@ func TestPanicPropagatesToCoalescedWaiters(t *testing.T) {
 	recovered := make(chan any, 2)
 	run := func(fn CellFunc) {
 		defer func() { recovered <- recover() }()
-		e.Do(spec(8), fn)
+		do(e, spec(8), fn)
 		recovered <- nil
 	}
 	go run(slow)
@@ -273,7 +286,7 @@ func TestDoCtxCanceledBeforeStart(t *testing.T) {
 	cancel()
 	var calls atomic.Int64
 	fn := func(CellSpec, uint64, Scratch) any { calls.Add(1); return 1 }
-	if _, err := e.DoCtx(ctx, spec(8), fn); !errors.Is(err, ErrCanceled) {
+	if _, err := e.Do(ctx, spec(8), fn); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if calls.Load() != 0 {
@@ -284,7 +297,7 @@ func TestDoCtxCanceledBeforeStart(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The engine is unpoisoned: a live call computes normally.
-	if v := e.Do(spec(8), fn); v != 1 || calls.Load() != 1 {
+	if v := do(e, spec(8), fn); v != 1 || calls.Load() != 1 {
 		t.Fatalf("retry after cancellation: v=%v calls=%d", v, calls.Load())
 	}
 }
@@ -298,13 +311,13 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 		<-release
 		return "slow"
 	}
-	go e.Do(spec(8), slow)
+	go do(e, spec(8), slow)
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, spec(16), func(CellSpec, uint64, Scratch) any { return "fast" })
+		_, err := e.Do(ctx, spec(16), func(CellSpec, uint64, Scratch) any { return "fast" })
 		done <- err
 	}()
 	// Give the queued call time to block on the semaphore, then cancel:
@@ -322,7 +335,7 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	close(release)
 	// The abandoned cell left no cache entry: a later call recomputes.
 	var calls atomic.Int64
-	e.Do(spec(16), func(CellSpec, uint64, Scratch) any { calls.Add(1); return "fast" })
+	do(e, spec(16), func(CellSpec, uint64, Scratch) any { calls.Add(1); return "fast" })
 	if calls.Load() != 1 {
 		t.Fatalf("abandoned cell cached? calls = %d", calls.Load())
 	}
@@ -337,18 +350,18 @@ func TestDoCtxWaiterCancellation(t *testing.T) {
 		<-release
 		return "v"
 	}
-	go e.Do(spec(8), slow)
+	go do(e, spec(8), slow)
 	<-started
 
 	// A waiter coalesced onto the in-flight cell gives up on cancel...
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.DoCtx(ctx, spec(8), slow); !errors.Is(err, ErrCanceled) {
+	if _, err := e.Do(ctx, spec(8), slow); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("coalesced waiter returned %v, want ErrCanceled", err)
 	}
 	// ...while the in-flight computation drains and is cached.
 	close(release)
-	if v := e.Do(spec(8), func(CellSpec, uint64, Scratch) any { return "recomputed" }); v != "v" {
+	if v := do(e, spec(8), func(CellSpec, uint64, Scratch) any { return "recomputed" }); v != "v" {
 		t.Fatalf("drained cell not cached: got %v", v)
 	}
 }
@@ -357,7 +370,7 @@ func TestCanceledEntryWakesCoalescedWaiters(t *testing.T) {
 	e := New(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go e.Do(spec(8), func(CellSpec, uint64, Scratch) any {
+	go do(e, spec(8), func(CellSpec, uint64, Scratch) any {
 		close(started)
 		<-release
 		return "slow"
@@ -371,14 +384,14 @@ func TestCanceledEntryWakesCoalescedWaiters(t *testing.T) {
 	aQueued := make(chan struct{})
 	go func() {
 		close(aQueued)
-		e.DoCtx(ctxA, spec(16), func(CellSpec, uint64, Scratch) any { return "A" })
+		e.Do(ctxA, spec(16), func(CellSpec, uint64, Scratch) any { return "A" })
 	}()
 	<-aQueued
 	time.Sleep(10 * time.Millisecond) // let A register its entry and queue
 
 	bDone := make(chan any, 1)
 	go func() {
-		v, err := e.DoCtx(context.Background(), spec(16), func(CellSpec, uint64, Scratch) any { return "B" })
+		v, err := e.Do(context.Background(), spec(16), func(CellSpec, uint64, Scratch) any { return "B" })
 		if err != nil {
 			bDone <- err
 			return
@@ -485,7 +498,7 @@ func TestSetWorkersAndReset(t *testing.T) {
 	if e.Workers() != 3 || e.Stats().Workers != 3 {
 		t.Fatalf("workers = %d", e.Workers())
 	}
-	e.Do(spec(8), func(CellSpec, uint64, Scratch) any { return 1 })
+	do(e, spec(8), func(CellSpec, uint64, Scratch) any { return 1 })
 	if e.Stats().Entries != 1 {
 		t.Fatal("missing cache entry")
 	}

@@ -46,7 +46,7 @@ func TestStoreTierWriteThrough(t *testing.T) {
 		return sp.Buffer * 2
 	}
 
-	if v := e.Do(spec(8), fn); v.(int) != 16 {
+	if v := do(e, spec(8), fn); v.(int) != 16 {
 		t.Fatalf("Do = %v", v)
 	}
 	s := e.Stats()
@@ -56,7 +56,7 @@ func TestStoreTierWriteThrough(t *testing.T) {
 
 	// Same cell again: in-memory hit, store untouched.
 	gets := st.gets.Load()
-	e.Do(spec(8), fn)
+	do(e, spec(8), fn)
 	if st.gets.Load() != gets {
 		t.Fatal("warm in-memory hit consulted the store")
 	}
@@ -66,7 +66,7 @@ func TestStoreTierWriteThrough(t *testing.T) {
 	// assert on.
 	e2 := New(2)
 	e2.SetStore(st)
-	if v := e2.Do(spec(8), fn); v.(int) != 16 {
+	if v := do(e2, spec(8), fn); v.(int) != 16 {
 		t.Fatalf("store-hit Do = %v", v)
 	}
 	s2 := e2.Stats()
@@ -91,7 +91,7 @@ func TestStoreTierCoalescesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v := e.Do(spec(8), fn); v.(int) != 99 {
+			if v := do(e, spec(8), fn); v.(int) != 99 {
 				t.Errorf("Do = %v, want 99", v)
 			}
 		}()
@@ -113,7 +113,7 @@ func TestResetCacheDetachesStore(t *testing.T) {
 	var computes atomic.Int64
 	fn := func(CellSpec, uint64, Scratch) any { computes.Add(1); return 1 }
 
-	e.Do(spec(8), fn)
+	do(e, spec(8), fn)
 	if e.Store() == nil {
 		t.Fatal("store not attached")
 	}
@@ -127,7 +127,7 @@ func TestResetCacheDetachesStore(t *testing.T) {
 	}
 	// A genuine cold run: the store holds the cell, but a reset engine
 	// must recompute it.
-	e.Do(spec(8), fn)
+	do(e, spec(8), fn)
 	if computes.Load() != 2 {
 		t.Fatalf("post-reset run did not recompute (computes=%d)", computes.Load())
 	}
@@ -139,7 +139,7 @@ func TestStorePanicNotPersisted(t *testing.T) {
 	e.SetStore(st)
 	func() {
 		defer func() { recover() }()
-		e.Do(spec(8), func(CellSpec, uint64, Scratch) any { panic("boom") })
+		do(e, spec(8), func(CellSpec, uint64, Scratch) any { panic("boom") })
 	}()
 	if st.puts.Load() != 0 {
 		t.Fatal("panicking cell reached the store")

@@ -38,7 +38,7 @@ func TestCollectorReconcilesWithStats(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if v := e.Do(sp, slow); v != "v" {
+				if v := do(e, sp, slow); v != "v" {
 					t.Errorf("Do = %v", v)
 				}
 			}()
@@ -48,7 +48,7 @@ func TestCollectorReconcilesWithStats(t *testing.T) {
 
 	// Phase 2: warm-cache hits.
 	for buf := 0; buf < 3; buf++ {
-		e.Do(spec(64<<buf), slow)
+		do(e, spec(64<<buf), slow)
 	}
 
 	// Phase 3: a canceled batch. Workers=2 and the cells sleep, so a
@@ -121,7 +121,7 @@ func TestDetachedCollectorSeesNothing(t *testing.T) {
 	col := telemetry.New()
 	e.SetCollector(col)
 	e.SetCollector(nil)
-	e.Do(spec(64), func(CellSpec, uint64, Scratch) any { return 1 })
+	do(e, spec(64), func(CellSpec, uint64, Scratch) any { return 1 })
 	if col.CacheMisses.Value() != 0 || col.CellWall.Count() != 0 {
 		t.Fatalf("detached collector recorded activity: %+v", col.Snapshot())
 	}
@@ -145,18 +145,18 @@ func TestStatsGaugesLive(t *testing.T) {
 		<-release
 		return "v"
 	}
-	go e.Do(spec(64), blocking)
+	go do(e, spec(64), blocking)
 	<-started
 
 	// A coalesced waiter on the same spec.
 	waiterIn := make(chan struct{})
 	go func() {
 		close(waiterIn)
-		e.Do(spec(64), blocking)
+		do(e, spec(64), blocking)
 	}()
 	<-waiterIn
 	// A queued cell: the single worker slot is held by the blocking cell.
-	go e.Do(spec(128), func(CellSpec, uint64, Scratch) any { return "q" })
+	go do(e, spec(128), func(CellSpec, uint64, Scratch) any { return "q" })
 
 	deadline := time.After(2 * time.Second)
 	for {

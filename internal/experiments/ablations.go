@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // discipline: CoDel (the AQM the paper's §1 cites), RED and its
 // self-tuning ARED variant, PIE (the DOCSIS answer), and FQ-CoDel
 // (the home-router answer, adding flow isolation).
-func ablationAQM(s *Session, o Options) (*Result, error) {
+func ablationAQM(ctx context.Context, s *Session, o Options) (*Result, error) {
 	queues := []struct {
 		name    string
 		factory queueFactory
@@ -55,7 +56,7 @@ func ablationAQM(s *Session, o Options) (*Result, error) {
 	}
 	g := NewGrid("Ablation: AQM at a bloated (256-pkt) uplink, upstream long-many workload",
 		[]string{"talk MOS", "listen MOS"}, cols)
-	s.runCells(jobs, func(_, col string, v any) {
+	s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
@@ -68,7 +69,7 @@ func ablationAQM(s *Session, o Options) (*Result, error) {
 // substantially impact the QoE results": same cell, both algorithms.
 // CUBIC is the access testbed's default, so its cell is the cached
 // fig7c long-few/64 cell.
-func ablationCC(s *Session, o Options) (*Result, error) {
+func ablationCC(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: background congestion control (access, 64-pkt buffers, bidir long-few)",
 		[]string{"listen MOS", "talk MOS"}, []string{"cubic", "reno"})
 	variants := map[string]accessVariant{
@@ -79,7 +80,7 @@ func ablationCC(s *Session, o Options) (*Result, error) {
 	for _, cc := range []string{"cubic", "reno"} {
 		jobs = append(jobs, cellJob{voipAccessTask(o, "long-few", testbed.DirBidir, 64, variants[cc]), "", cc})
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	s.runCells(ctx, jobs, func(_, col string, v any) {
 		p := v.(voipScore)
 		g.Set("listen MOS", col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("talk MOS", col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
@@ -90,7 +91,7 @@ func ablationCC(s *Session, o Options) (*Result, error) {
 // ablationLoadAware evaluates the paper's Section 10 suggestion of
 // load-dependent buffer sizing on WebQoE: static BDP vs static bloat
 // vs the load-aware choice under moderate and high load.
-func ablationLoadAware(s *Session, o Options) (*Result, error) {
+func ablationLoadAware(ctx context.Context, s *Session, o Options) (*Result, error) {
 	bdp := 64
 	scenarios := []struct {
 		name string
@@ -120,7 +121,7 @@ func ablationLoadAware(s *Session, o Options) (*Result, error) {
 			chosen[sc.name+"/"+label] = buf
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row, col, Cell{
@@ -135,7 +136,7 @@ func ablationLoadAware(s *Session, o Options) (*Result, error) {
 // ablationSmoothing quantifies Section 8.1's point that unsmoothed
 // VLC-style frame bursts overflow access buffers even on an idle
 // link.
-func ablationSmoothing(s *Session, o Options) (*Result, error) {
+func ablationSmoothing(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: video sender smoothing (access, idle link)",
 		[]string{"SSIM", "loss %"}, []string{"smooth-8pkt", "burst-8pkt", "smooth-64pkt", "burst-64pkt"})
 	var jobs []cellJob
@@ -145,7 +146,7 @@ func ablationSmoothing(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{smoothingTask(o, buf, smooth), "", fmt.Sprintf("%s-%dpkt", label, buf)})
 		}
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	s.runCells(ctx, jobs, func(_, col string, v any) {
 		sc := v.(smoothingScore)
 		g.Set("SSIM", col, Cell{Value: sc.SSIM})
 		g.Set("loss %", col, Cell{Value: sc.LossPct})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -15,7 +16,7 @@ import (
 // bitrate reduction; at sustained overload nothing fits and all three
 // players are bad. The progressive-4M cells are shared with
 // ext-httpvideo's 749-packet column through the cache.
-func extABR(s *Session, o Options) (*Result, error) {
+func extABR(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"noBG", "short-medium", "short-high", "long"}
 	players := []string{"progressive-4M", "abr-rate", "abr-buffer"}
 	g := NewGrid("Extension: DASH adaptation vs fixed-rate HTTP video (backbone, BDP buffer)",
@@ -30,7 +31,7 @@ func extABR(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{httpVideoTask(o, s, 749, kind), player, s})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		sc := v.(httpScore)
 		g.Set(row, col, Cell{
 			Value: sc.MOS,

@@ -130,23 +130,23 @@ func TestAdaptiveFewerRepsWithinHalfWidth(t *testing.T) {
 	o := tiny()
 	o.Reps = 3
 
-	ResetEngineCache()
+	s := NewSession(0)
 	exCol := telemetry.New()
 	oEx := o
 	oEx.Collector = exCol
-	rEx, err := Run("fig7b", oEx)
+	rEx, err := s.Run(t.Context(), "fig7b", oEx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exhaustive := rEx.Grids[0]
 	exReps := exCol.Snapshot()
 
-	ResetEngineCache()
+	s.ResetCache()
 	adCol := telemetry.New()
 	oAd := o
 	oAd.Collector = adCol
 	oAd.CIHalfWidth = 0.5
-	rAd, err := Run("fig7b", oAd)
+	rAd, err := s.Run(t.Context(), "fig7b", oAd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,19 +190,16 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	o := tiny()
 	o.Reps = 3
 	o.CIHalfWidth = 0.5
-	defer SetParallelism(0)
-
-	SetParallelism(1)
-	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	s := NewSession(1)
+	r, err := s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sequential := r.Render()
 
-	SetParallelism(8)
-	ResetEngineCache()
-	r, err = Run("fig7b", o)
+	s.SetParallelism(8)
+	s.ResetCache()
+	r, err = s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +208,12 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 			sequential, parallel)
 	}
 
-	before := EngineStats()
-	r, err = Run("fig7b", o)
+	before := s.EngineStats()
+	r, err = s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := EngineStats()
+	after := s.EngineStats()
 	if warm := r.Render(); warm != sequential {
 		t.Fatalf("adaptive warm-cache run differs from cold run:\n--- cold ---\n%s\n--- warm ---\n%s",
 			sequential, warm)
@@ -232,7 +229,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	if err := s1.OpenStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err = s1.Run("fig7b", o)
+	r, err = s1.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +244,7 @@ func TestAdaptiveDeterministicAcrossSchedules(t *testing.T) {
 	if err := s2.OpenStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	r, err = s2.Run("fig7b", o)
+	r, err = s2.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,10 +144,11 @@ type workload struct {
 
 // accessWL resolves an access workload at build time: a custom mix
 // when non-nil, the named Table 1 preset masked by dir otherwise.
-// Preset names on this path are either literals from the preset
-// tables (experiment grids) or pre-validated by ProbeSpec.normalize,
-// so the panic is a programming-error guard on the caller's
-// goroutine, not a reachable worker crash.
+// Preset names reach it from exactly two callers: literals in the
+// experiment runners (every runner builds its cells in
+// TestEveryRunnerBuildsItsCells) and ProbeSpec.task, which validates
+// the name first. The panic is therefore reachable only through a
+// programming error, never through user input.
 func accessWL(scenario string, dir testbed.Direction, mix *testbed.Workload) workload {
 	if mix != nil {
 		return workload{name: mix.Encode(), spec: mix.Spec(mix.Encode())}
@@ -159,7 +160,8 @@ func accessWL(scenario string, dir testbed.Direction, mix *testbed.Workload) wor
 	return workload{name: scenario, dir: dir.String(), spec: spec}
 }
 
-// backboneWL is accessWL for the backbone's direction-less workloads.
+// backboneWL is accessWL for the backbone's direction-less workloads;
+// its panic, too, is reachable only through a programming error.
 func backboneWL(scenario string, mix *testbed.Workload) workload {
 	if mix != nil {
 		return workload{name: mix.Encode(), spec: mix.Spec(mix.Encode())}
@@ -287,13 +289,6 @@ func voipAccessTask(o Options, scenario string, dir testbed.Direction, buf int, 
 		finishCell(&pc, sp, a.Eng, a.Net)
 		return score
 	}}
-}
-
-// voipAccessCell runs one access VoIP cell through the session's
-// engine.
-func (s *Session) voipAccessCell(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant) voipScore {
-	t := voipAccessTask(o, scenario, dir, buf, v)
-	return s.runOne(t).(voipScore)
 }
 
 // voipBackboneTask describes one backbone VoIP cell (unidirectional
@@ -425,12 +420,6 @@ func webAccessTask(o Options, scenario string, dir testbed.Direction, buf int, v
 		finishCell(&pc, sp, a.Eng, a.Net)
 		return plt
 	}}
-}
-
-// webAccessCell runs one access web cell and returns the median PLT.
-func (s *Session) webAccessCell(o Options, scenario string, dir testbed.Direction, buf int, v accessVariant, fetchConns int) time.Duration {
-	t := webAccessTask(o, scenario, dir, buf, v, fetchConns)
-	return s.runOne(t).(time.Duration)
 }
 
 // webBackboneTask describes one backbone web cell.

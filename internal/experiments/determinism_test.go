@@ -15,19 +15,16 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
 	o := tiny()
-	defer SetParallelism(0)
-
-	SetParallelism(1)
-	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	s := NewSession(1)
+	r, err := s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sequential := r.Render()
 
-	SetParallelism(8)
-	ResetEngineCache()
-	r, err = Run("fig7b", o)
+	s.SetParallelism(8)
+	s.ResetCache()
+	r, err = s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +36,12 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 	}
 
 	// Third run, warm cache: every cell a hit, output unchanged.
-	before := EngineStats()
-	r, err = Run("fig7b", o)
+	before := s.EngineStats()
+	r, err = s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := EngineStats()
+	after := s.EngineStats()
 	if warm := r.Render(); warm != sequential {
 		t.Fatalf("warm-cache run differs from cold run:\n--- cold ---\n%s\n--- warm ---\n%s",
 			sequential, warm)
@@ -63,18 +60,18 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 // nothing new.
 func TestCrossExperimentCellSharing(t *testing.T) {
 	o := tiny()
-	ResetEngineCache()
-	if _, err := Run("fig1a", o); err != nil {
+	s := NewSession(0)
+	if _, err := s.Run(t.Context(), "fig1a", o); err != nil {
 		t.Fatal(err)
 	}
-	mid := EngineStats()
+	mid := s.EngineStats()
 	if mid.Misses == 0 {
 		t.Fatal("fig1a simulated no cells")
 	}
-	if _, err := Run("fig1b", o); err != nil {
+	if _, err := s.Run(t.Context(), "fig1b", o); err != nil {
 		t.Fatal(err)
 	}
-	after := EngineStats()
+	after := s.EngineStats()
 	if after.Misses != mid.Misses {
 		t.Fatalf("fig1b re-simulated %d cells fig1a already computed", after.Misses-mid.Misses)
 	}
@@ -83,22 +80,29 @@ func TestCrossExperimentCellSharing(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesGrid asserts that a Measure* probe of a
-// configuration an experiment grid visited returns the grid's exact
-// number — probes and grids submit the same canonical cell specs.
+// TestProbeMatchesGrid asserts that a probe of a configuration an
+// experiment grid visited returns the grid's exact number from the
+// cache — probes and grids submit the same canonical cell specs.
 func TestProbeMatchesGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
 	o := tiny()
-	ResetEngineCache()
-	r, err := Run("fig7b", o)
+	s := NewSession(0)
+	r, err := s.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := r.Grids[0].Get("user-talks/long-many", "256").Value
-	_, talk := MeasureVoIPAccess("long-many", testbed.DirUp, 256, o)
-	if talk != grid {
-		t.Fatalf("probe talk MOS %v != grid cell %v", talk, grid)
+	before := s.EngineStats()
+	vals, err := s.ProbeBatch(t.Context(), []ProbeSpec{{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 256, Media: "voip"}}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals[0].TalkMOS != grid {
+		t.Fatalf("probe talk MOS %v != grid cell %v", vals[0].TalkMOS, grid)
+	}
+	if after := s.EngineStats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("probe was not a cache hit on the grid's cell: %+v -> %+v", before, after)
 	}
 }

@@ -9,6 +9,17 @@ import (
 	"time"
 )
 
+// shared is the session behind run: the package's experiment tests
+// submit overlapping cells, so they share one cache instead of each
+// re-simulating its neighbours' cells. Tests that reset the cache or
+// resize the worker pool create their own session.
+var shared = NewSession(0)
+
+// run executes one experiment on the shared test session.
+func run(id string, o Options) (*Result, error) {
+	return shared.Run(context.Background(), id, o)
+}
+
 // tiny returns options small enough for unit tests.
 func tiny() Options {
 	return Options{
@@ -50,7 +61,7 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestUnknownID(t *testing.T) {
-	if _, err := Run("nope", tiny()); err == nil {
+	if _, err := run("nope", tiny()); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -64,9 +75,9 @@ func TestUnknownID(t *testing.T) {
 func TestEveryRunnerBuildsItsCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSession(1).WithContext(ctx)
+	s := NewSession(1)
 	for _, id := range IDs() {
-		res, err := s.Run(id, tiny())
+		res, err := s.Run(ctx, id, tiny())
 		if err != nil && !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -90,7 +101,7 @@ func TestGridRender(t *testing.T) {
 }
 
 func TestTable2Static(t *testing.T) {
-	r, err := Run("table2", tiny())
+	r, err := run("table2", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestTable2Static(t *testing.T) {
 
 func TestFig1Family(t *testing.T) {
 	for _, id := range []string{"fig1a", "fig1b", "fig1c"} {
-		r, err := Run(id, tiny())
+		r, err := run(id, tiny())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -122,7 +133,7 @@ func TestFig1Family(t *testing.T) {
 }
 
 func TestFig1aOrdering(t *testing.T) {
-	r, err := Run("fig1a", tiny())
+	r, err := run("fig1a", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func TestFig1aOrdering(t *testing.T) {
 }
 
 func TestFig4cBufferbloatShape(t *testing.T) {
-	r, err := Run("fig4c", tiny())
+	r, err := run("fig4c", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestFig4cBufferbloatShape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r, err := Run("fig5", tiny())
+	r, err := run("fig5", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +178,7 @@ func TestFig5Shape(t *testing.T) {
 
 func TestFig7bShape(t *testing.T) {
 	o := tiny()
-	r, err := Run("fig7b", o)
+	r, err := run("fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +201,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("fig8", tiny())
+	r, err := run("fig8", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +218,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	r, err := Run("fig9a", tiny())
+	r, err := run("fig9a", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +238,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig10bShape(t *testing.T) {
-	r, err := Run("fig10b", tiny())
+	r, err := run("fig10b", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestExtensionHTTPVideo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("ext-httpvideo", tiny())
+	r, err := run("ext-httpvideo", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestExtensionHTTPVideo(t *testing.T) {
 }
 
 func TestAblationPlayout(t *testing.T) {
-	r, err := Run("abl-playout", tiny())
+	r, err := run("abl-playout", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +292,7 @@ func TestExtensionClips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; skipped in -short (race CI) mode")
 	}
-	r, err := Run("ext-clips", tiny())
+	r, err := run("ext-clips", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +309,7 @@ func TestExtensionClips(t *testing.T) {
 }
 
 func TestAblationSACKKeepsQueueFuller(t *testing.T) {
-	r, err := Run("abl-sack", tiny())
+	r, err := run("abl-sack", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +323,7 @@ func TestAblationSACKKeepsQueueFuller(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	for _, id := range []string{"abl-aqm", "abl-ccalgo", "abl-loadaware", "abl-smoothing", "abl-playout", "abl-sack"} {
-		r, err := Run(id, tiny())
+		r, err := run(id, tiny())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -323,7 +334,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestAblationAQMImprovesTalkDelay(t *testing.T) {
-	r, err := Run("abl-aqm", tiny())
+	r, err := run("abl-aqm", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +349,7 @@ func TestAblationAQMImprovesTalkDelay(t *testing.T) {
 }
 
 func TestAblationSmoothingShape(t *testing.T) {
-	r, err := Run("abl-smoothing", tiny())
+	r, err := run("abl-smoothing", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -15,7 +16,7 @@ import (
 // results". The backbone load ladder is replayed with a TCP
 // progressive-download player; QoE comes from the Mok et al. stall
 // regression instead of SSIM.
-func extHTTPVideo(s *Session, o Options) (*Result, error) {
+func extHTTPVideo(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := testbed.BackboneScenarioNames
 	g := NewGrid("Extension: HTTP progressive video on the backbone (Mok et al. MOS)",
 		scenarios, backboneBufferCols())
@@ -26,7 +27,7 @@ func extHTTPVideo(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{httpVideoTask(o, s, buf, "progressive"), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(httpScore).MOS
 		g.Set(row, col, Cell{Value: m, Class: string(qoe.Rate(m))})
 	})
@@ -43,7 +44,7 @@ func extHTTPVideo(s *Session, o Options) (*Result, error) {
 // the quality scores of all video clips lead to the same primary
 // observation"). The ClipC column is shared with fig9b and ext-psnr
 // through the cell cache.
-func extClips(s *Session, o Options) (*Result, error) {
+func extClips(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := []string{"noBG", "short-medium", "long"}
 	var rows []string
 	for _, c := range video.Clips {
@@ -56,7 +57,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{videoBackboneTask(o, s, clip, video.SD, video.RecoveryNone, 749, backboneVariant{}), clip.Name, s})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		ssim := v.(videoScore).SSIM
 		g.Set(row, col, Cell{Value: ssim, Class: string(qoe.Rate(qoe.SSIMToMOS(ssim)))})
 	})
@@ -74,7 +75,7 @@ func extClips(s *Session, o Options) (*Result, error) {
 // where NewReno flows let it drain between loss events. The newreno
 // column is the default configuration, i.e. the cached fig7b
 // long-many/256 cell.
-func ablationSACK(s *Session, o Options) (*Result, error) {
+func ablationSACK(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: SACK vs NewReno background flows (upstream long-many, 256-pkt uplink)",
 		[]string{"mean uplink delay (ms)", "talk MOS", "uplink util %"},
 		[]string{"newreno", "sack"})
@@ -86,7 +87,7 @@ func ablationSACK(s *Session, o Options) (*Result, error) {
 		}
 		jobs = append(jobs, cellJob{voipAccessTask(o, "long-many", testbed.DirUp, 256, v), "", mode})
 	}
-	s.runCells(jobs, func(_, mode string, v any) {
+	s.runCells(ctx, jobs, func(_, mode string, v any) {
 		p := v.(voipScore)
 		g.Set("mean uplink delay (ms)", mode, Cell{
 			Value: p.UpDelayMs,
@@ -101,14 +102,14 @@ func ablationSACK(s *Session, o Options) (*Result, error) {
 // ablationPlayout compares the fixed 60 ms jitter buffer against the
 // PjSIP-style adaptive playout under downstream jitter: the adaptive
 // receiver trades late loss against added delay.
-func ablationPlayout(s *Session, o Options) (*Result, error) {
+func ablationPlayout(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Ablation: fixed vs adaptive playout buffer (access, short-many down, 256-pkt buffers)",
 		[]string{"MOS", "z1 (signal)", "app loss %"}, []string{"fixed-60ms", "adaptive"})
 	var jobs []cellJob
 	for _, mode := range []string{"fixed-60ms", "adaptive"} {
 		jobs = append(jobs, cellJob{playoutTask(o, mode), "", mode})
 	}
-	s.runCells(jobs, func(_, mode string, v any) {
+	s.runCells(ctx, jobs, func(_, mode string, v any) {
 		p := v.(playoutScore)
 		g.Set("MOS", mode, Cell{Value: p.MOS})
 		g.Set("z1 (signal)", mode, Cell{Value: p.Z1})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -59,7 +60,7 @@ func runVoIPPair(a *testbed.Access, o Options, cs *CellScratch, pc *telemetry.Ph
 // combined up+down scenario the paper describes in §7.2 ("plot not
 // shown": results resemble upload-only, with the listen direction
 // slightly worse from the added downlink traffic).
-func fig7(s *Session, o Options, variant string) (*Result, error) {
+func fig7(ctx context.Context, s *Session, o Options, variant string) (*Result, error) {
 	dir := testbed.DirDown
 	switch variant {
 	case "b":
@@ -83,7 +84,7 @@ func fig7(s *Session, o Options, variant string) (*Result, error) {
 			jobs = append(jobs, cellJob{voipAccessTask(o, s, dir, buf, accessVariant{}), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		p := v.(voipScore)
 		g.Set("user-listens/"+row, col, Cell{Value: p.Listen, Class: string(qoe.VoIPSatisfaction(p.Listen))})
 		g.Set("user-talks/"+row, col, Cell{Value: p.Talk, Class: string(qoe.VoIPSatisfaction(p.Talk))})
@@ -93,7 +94,7 @@ func fig7(s *Session, o Options, variant string) (*Result, error) {
 
 // fig8 regenerates the Figure 8 backbone VoIP heatmap (unidirectional
 // calls, server -> client, as in the paper).
-func fig8(s *Session, o Options) (*Result, error) {
+func fig8(ctx context.Context, s *Session, o Options) (*Result, error) {
 	scenarios := testbed.BackboneScenarioNames
 	g := NewGrid("Figure 8: VoIP backbone median MOS", scenarios, backboneBufferCols())
 	var jobs []cellJob
@@ -103,7 +104,7 @@ func fig8(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{voipBackboneTask(o, s, buf, backboneVariant{}), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(float64)
 		g.Set(row, col, Cell{Value: m, Class: string(qoe.VoIPSatisfaction(m))})
 	})
@@ -141,7 +142,7 @@ func videoReps(se *sim.Engine, o Options, clipDur time.Duration, cs *CellScratch
 // fig9 regenerates the Figure 9 video heatmaps: variant "a" is the
 // access testbed (download congestion only: IPTV is downstream),
 // "b" the backbone.
-func fig9(s *Session, o Options, variant string) (*Result, error) {
+func fig9(ctx context.Context, s *Session, o Options, variant string) (*Result, error) {
 	profiles := []video.Profile{video.SD, video.HD}
 	clip := video.ClipC // the clip the paper displays
 
@@ -181,7 +182,7 @@ func fig9(s *Session, o Options, variant string) (*Result, error) {
 			}
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		ssim := v.(videoScore).SSIM
 		g.Set(row, col, Cell{
 			Value: ssim,
@@ -227,7 +228,7 @@ func webReps(se *sim.Engine, o Options, cs *CellScratch, pc *telemetry.PhaseCloc
 // is download congestion, "b" upload congestion. Variant "c" is the
 // combined workload of §9.2 ("not shown": dominated by the upload
 // side, with somewhat shorter PLTs than upload-only).
-func fig10(s *Session, o Options, variant string) (*Result, error) {
+func fig10(ctx context.Context, s *Session, o Options, variant string) (*Result, error) {
 	dir := testbed.DirDown
 	switch variant {
 	case "b":
@@ -246,7 +247,7 @@ func fig10(s *Session, o Options, variant string) (*Result, error) {
 			jobs = append(jobs, cellJob{webAccessTask(o, s, dir, buf, accessVariant{}, 0), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row, col, Cell{
@@ -259,7 +260,7 @@ func fig10(s *Session, o Options, variant string) (*Result, error) {
 }
 
 // fig11 regenerates the Figure 11 backbone WebQoE heatmap.
-func fig11(s *Session, o Options) (*Result, error) {
+func fig11(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.BackboneWebModel()
 	scenarios := testbed.BackboneScenarioNames
 	g := NewGrid("Figure 11: backbone median PLT (s) and WebQoE", scenarios, backboneBufferCols())
@@ -270,7 +271,7 @@ func fig11(s *Session, o Options) (*Result, error) {
 			jobs = append(jobs, cellJob{webBackboneTask(o, s, buf, backboneVariant{}), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row, col, Cell{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // parallelism cannot move a "bad" cell out of the bad band — the
 // paper's methodology choice is QoE-neutral. The sequential cells are
 // shared with abl-iqx through the cache.
-func extParWeb(s *Session, o Options) (*Result, error) {
+func extParWeb(ctx context.Context, s *Session, o Options) (*Result, error) {
 	model := qoe.AccessWebModel()
 	bufs := []int{8, 64, 256}
 	cols := make([]string, len(bufs))
@@ -38,7 +39,7 @@ func extParWeb(s *Session, o Options) (*Result, error) {
 				mode, cols[bi]})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		plt := v.(time.Duration)
 		mos := model.MOS(plt)
 		g.Set(row+" PLT", col, Cell{Value: plt.Seconds(), Text: fmt.Sprintf("%.2fs", plt.Seconds())})

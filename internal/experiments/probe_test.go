@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bufferqoe/internal/testbed"
-	"bufferqoe/internal/video"
 )
 
 func TestProbeSpecValidate(t *testing.T) {
@@ -40,22 +39,27 @@ func TestProbeSpecValidate(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesMeasure: the probe path must submit the exact cell
-// the legacy Measure* path submits, sharing cache and value.
+// TestProbeMatchesMeasure: a probe must submit the exact cell the
+// paper-grid runner submits for the same configuration, so it answers
+// from the grid's cache entry with the grid's values.
 func TestProbeMatchesMeasure(t *testing.T) {
-	s := NewSession(0)
 	o := tiny()
-	listen, talk := s.MeasureVoIPAccess("short-few", testbed.DirUp, 64, o)
-	before := s.EngineStats()
-	v, err := s.Probe(ProbeSpec{Scenario: "short-few", Direction: testbed.DirUp, Buffer: 64, Media: "voip"}, o)
+	r, err := shared.Run(t.Context(), "fig7b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.ListenMOS != listen || v.TalkMOS != talk {
-		t.Fatalf("probe (%v/%v) != measure (%v/%v)", v.ListenMOS, v.TalkMOS, listen, talk)
+	g := r.Grids[0]
+	listen, talk := g.Get("user-listens/short-few", "64").Value, g.Get("user-talks/short-few", "64").Value
+	before := shared.EngineStats()
+	vals, err := shared.ProbeBatch(t.Context(), []ProbeSpec{{Scenario: "short-few", Direction: testbed.DirUp, Buffer: 64, Media: "voip"}}, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after := s.EngineStats(); after.Misses != before.Misses {
-		t.Fatalf("probe re-simulated the measured cell: %+v -> %+v", before, after)
+	if vals[0].ListenMOS != listen || vals[0].TalkMOS != talk {
+		t.Fatalf("probe (%v/%v) != fig7b cell (%v/%v)", vals[0].ListenMOS, vals[0].TalkMOS, listen, talk)
+	}
+	if after := shared.EngineStats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("probe was not a cache hit on the grid's cell: %+v -> %+v", before, after)
 	}
 }
 
@@ -70,7 +74,7 @@ func TestProbeBatchPairsLinks(t *testing.T) {
 		{Scenario: "short-few", Direction: testbed.DirUp, Buffer: 64, Media: "web",
 			Link: testbed.LinkParams{UpRate: 1e9, DownRate: 1e9, ClientDelay: 2 * time.Millisecond, ServerDelay: 10 * time.Millisecond}},
 	}
-	vals, err := s.ProbeBatch(specs, o)
+	vals, err := s.ProbeBatch(t.Context(), specs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestProbeBatchPairsLinks(t *testing.T) {
 // before any simulation.
 func TestProbeBatchFailsFast(t *testing.T) {
 	s := NewSession(0)
-	_, err := s.ProbeBatch([]ProbeSpec{
+	_, err := s.ProbeBatch(t.Context(), []ProbeSpec{
 		{Scenario: "noBG", Buffer: 64, Media: "web"},
 		{Scenario: "bogus", Buffer: 64, Media: "web"},
 	}, tiny())
@@ -131,7 +135,7 @@ func TestVideoProbeHonorsDirection(t *testing.T) {
 	o := tiny()
 	down := ProbeSpec{Scenario: "long-many", Direction: testbed.DirDown, Buffer: 64, Media: "video"}
 	up := ProbeSpec{Scenario: "long-many", Direction: testbed.DirUp, Buffer: 64, Media: "video"}
-	vals, err := s.ProbeBatch([]ProbeSpec{down, up}, o)
+	vals, err := s.ProbeBatch(t.Context(), []ProbeSpec{down, up}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +148,23 @@ func TestVideoProbeHonorsDirection(t *testing.T) {
 	if vals[1].SSIM < vals[0].SSIM {
 		t.Fatalf("upload-congestion SSIM %.3f < download-congestion %.3f", vals[1].SSIM, vals[0].SSIM)
 	}
-	// The down-direction probe is still the paper grid's cell.
-	if got := s.MeasureVideoAccess("long-many", video.SD, 64, o); got != vals[0].SSIM {
-		t.Fatalf("down probe %v != MeasureVideoAccess %v", vals[0].SSIM, got)
+	// The down-direction probe is still the paper grid's cell: after
+	// fig9a it is a cache hit with the grid's value.
+	r, err := shared.Run(t.Context(), "fig9a", o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.EngineStats(); st.Misses != 2 {
-		t.Fatalf("MeasureVideoAccess missed the probe cache: %+v", s.EngineStats())
+	grid := r.Grids[0].Get("SD/long-many", "64").Value
+	before := shared.EngineStats()
+	got, err := shared.ProbeBatch(t.Context(), []ProbeSpec{down}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].SSIM != grid || got[0].SSIM != vals[0].SSIM {
+		t.Fatalf("down probe %v (fresh session %v) != fig9a cell %v", got[0].SSIM, vals[0].SSIM, grid)
+	}
+	if after := shared.EngineStats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("down probe missed the fig9a cache entry: %+v -> %+v", before, after)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/qoe"
@@ -29,7 +30,7 @@ func backboneBufferCols() []string {
 
 // table2 regenerates Table 2 by computation (buffer size <-> maximum
 // queueing delay).
-func table2(s *Session, o Options) (*Result, error) {
+func table2(ctx context.Context, s *Session, o Options) (*Result, error) {
 	g := NewGrid("Table 2: buffer sizes and maximum queueing delays",
 		[]string{"access uplink (1 Mbit/s)", "access downlink (16 Mbit/s)", "backbone (OC3)"},
 		[]string{"buffers (pkts)", "delays (ms)", "schemes"})
@@ -70,7 +71,7 @@ func join(xs []string) string {
 
 // table1 reruns every Table 1 workload at BDP buffers and reports the
 // measured utilization, loss and concurrency.
-func table1(s *Session, o Options) (*Result, error) {
+func table1(ctx context.Context, s *Session, o Options) (*Result, error) {
 	cols := []string{"conc flows", "util up %", "util down %", "sd up", "sd down", "loss up %", "loss down %"}
 	var rows []string
 	var jobs []cellJob
@@ -82,7 +83,7 @@ func table1(s *Session, o Options) (*Result, error) {
 		}
 	}
 	g := NewGrid("Table 1 (access): measured workload characteristics at BDP buffers", rows, cols)
-	s.runCells(jobs, func(row, _ string, v any) {
+	s.runCells(ctx, jobs, func(row, _ string, v any) {
 		m := v.(bgMetrics)
 		g.Set(row, "conc flows", Cell{Value: m.Conc})
 		g.Set(row, "util up %", Cell{Value: m.UtilUpPct})
@@ -103,7 +104,7 @@ func table1(s *Session, o Options) (*Result, error) {
 	}
 	g2 := NewGrid("Table 1 (backbone): measured workload characteristics at BDP buffers",
 		bbRows, []string{"conc flows", "util %", "sd", "loss %"})
-	s.runCells(bbJobs, func(row, _ string, v any) {
+	s.runCells(ctx, bbJobs, func(row, _ string, v any) {
 		m := v.(bgMetrics)
 		g2.Set(row, "conc flows", Cell{Value: m.Conc})
 		g2.Set(row, "util %", Cell{Value: m.UtilDownPct})
@@ -116,7 +117,7 @@ func table1(s *Session, o Options) (*Result, error) {
 // fig4 regenerates the Figure 4 mean-queueing-delay heatmaps for one
 // workload direction: "a" = downstream only, "b" = bidirectional,
 // "c" = upstream only.
-func fig4(s *Session, o Options, variant string) (*Result, error) {
+func fig4(ctx context.Context, s *Session, o Options, variant string) (*Result, error) {
 	dir := map[string]testbed.Direction{
 		"a": testbed.DirDown, "b": testbed.DirBidir, "c": testbed.DirUp,
 	}[variant]
@@ -136,7 +137,7 @@ func fig4(s *Session, o Options, variant string) (*Result, error) {
 			jobs = append(jobs, cellJob{bgAccessTask(o, s, dir, buf, buf), s, col})
 		}
 	}
-	s.runCells(jobs, func(row, col string, v any) {
+	s.runCells(ctx, jobs, func(row, col string, v any) {
 		m := v.(bgMetrics)
 		g.Set("uplink/"+row, col, Cell{
 			Value: m.DelayUpMs,
@@ -154,7 +155,7 @@ func fig4(s *Session, o Options, variant string) (*Result, error) {
 // long workload (8 uplink, 64 downlink flows) across buffer sizes.
 // Its cells are the same background runs as fig4b's long-many column,
 // so a full-suite run pays for them once.
-func fig5(s *Session, o Options) (*Result, error) {
+func fig5(ctx context.Context, s *Session, o Options) (*Result, error) {
 	cols := accessBufferCols()
 	rows := []string{
 		"downlink median", "downlink q1", "downlink q3", "downlink min", "downlink max",
@@ -165,7 +166,7 @@ func fig5(s *Session, o Options) (*Result, error) {
 	for bi, buf := range sizing.AccessBufferSizes {
 		jobs = append(jobs, cellJob{bgAccessTask(o, "long-many", testbed.DirBidir, buf, buf), "", cols[bi]})
 	}
-	s.runCells(jobs, func(_, col string, v any) {
+	s.runCells(ctx, jobs, func(_, col string, v any) {
 		m := v.(bgMetrics)
 		set := func(prefix string, b stats.Boxplot) {
 			g.Set(prefix+" median", col, Cell{Value: b.Median})

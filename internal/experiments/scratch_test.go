@@ -35,7 +35,7 @@ func TestSpeechCacheHoldsOnlyPlayedSamples(t *testing.T) {
 			specs = append(specs, ProbeSpec{Scenario: sc, Direction: testbed.DirUp, Buffer: buf, Media: "voip"})
 		}
 	}
-	if _, err := s.ProbeBatch(specs, o); err != nil {
+	if _, err := s.ProbeBatch(t.Context(), specs, o); err != nil {
 		t.Fatal(err)
 	}
 	perScenario := min(2*o.Reps, media.LibrarySize)

@@ -22,22 +22,17 @@ var ErrCanceled = engine.ErrCanceled
 // experiment grids, probes, sweeps — runs *on* a session, so
 // independent callers (a service handling many users, a test that
 // wants a cold cache) get isolated state instead of sharing mutable
-// package globals. The package-level Run/Measure* functions operate
-// on Default, preserving the original single-engine behavior.
+// package globals. Every method that runs cells takes the context that
+// bounds it as its first argument.
 type Session struct {
 	eng *engine.Engine
-	// ctx, when non-nil, bounds every run on this view of the session;
-	// see WithContext. nil means context.Background().
-	ctx context.Context
 	// collector, when non-nil, is merged into every run's Options (see
 	// opts) so cells report per-cell telemetry without each caller
-	// threading a collector through. Set via SetCollector on the root
-	// session, before WithContext views are taken.
+	// threading a collector through.
 	collector *telemetry.Collector
 	// store is the session's handle on the persistent result store
 	// attached to the engine, kept so CloseStore/ResetCache can flush
-	// and release it. Like collector, manage it on the root session
-	// before WithContext views are taken (views copy the struct).
+	// and release it.
 	store *store.Store
 }
 
@@ -49,33 +44,6 @@ func NewSession(workers int) *Session {
 	eng.SetScratch(func() engine.Scratch { return newCellScratch() })
 	return &Session{eng: eng}
 }
-
-// Default is the process-wide session behind the package-level
-// functions. Cells submitted through it are shared across every
-// caller that uses the package-level API.
-var Default = NewSession(0)
-
-// WithContext returns a view of the session whose runs are bounded by
-// ctx: queued cells are abandoned once ctx is canceled and the run
-// returns ErrCanceled. The view shares the session's engine, cache,
-// and counters — it is a call-scoping device, not a new session.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	view := *s
-	view.ctx = ctx
-	return &view
-}
-
-// Context returns the context bounding this session view:
-// context.Background() unless the view came from WithContext.
-func (s *Session) Context() context.Context {
-	if s.ctx != nil {
-		return s.ctx
-	}
-	return context.Background()
-}
-
-// context is shorthand for Context in the run paths.
-func (s *Session) context() context.Context { return s.Context() }
 
 // SetParallelism resizes the session's cell worker pool; n <= 0 means
 // GOMAXPROCS. Parallelism never changes results: each cell's seed is
@@ -92,8 +60,7 @@ func (s *Session) EngineStats() engine.Stats { return s.eng.Stats() }
 // detaches): the cell engine mirrors its cache counters, gauges, and
 // per-cell wall time into it, and every run whose Options leave
 // Collector nil reports phase telemetry to it. Attach before
-// submitting work and before taking WithContext views — views copy
-// the session struct, so they see the collector set at copy time.
+// submitting work.
 func (s *Session) SetCollector(c *telemetry.Collector) {
 	s.collector = c
 	s.eng.SetCollector(c)
@@ -118,9 +85,8 @@ func (s *Session) opts(o Options) Options {
 // dir as the engine's second cache tier: in-memory misses are
 // answered from disk when a prior run (any process, any machine)
 // already computed the cell under the same engine.Version, and fresh
-// computes are written through off the hot path. Open the store on
-// the root session before submitting work or taking WithContext
-// views; a session holds at most one store at a time.
+// computes are written through off the hot path. Open the store
+// before submitting work; a session holds at most one store at a time.
 func (s *Session) OpenStore(dir string) error {
 	if s.store != nil {
 		return fmt.Errorf("experiments: session already has a store open at %s", s.store.Dir())
@@ -170,32 +136,23 @@ func (s *Session) ResetCache() {
 }
 
 // cancelSignal carries a cancellation out of a grid runner through the
-// panic path. The ~40 runners are straight-line cell submitters with
-// no error plumbing of their own; rather than threading a ctx check
-// through every one, runOne/runCells panic with this sentinel and
-// Session.Run recovers it into an ordinary ErrCanceled return. The
-// sentinel never crosses a goroutine boundary: runCells collects cell
-// errors on the calling goroutine before panicking.
+// panic path. The ~40 runners take the run's ctx but are straight-line
+// cell submitters with no error plumbing of their own; rather than
+// threading an error return through every one, runCells panics with
+// this sentinel when that ctx is canceled and Session.Run recovers it
+// into an ordinary ErrCanceled return. The sentinel never
+// crosses a goroutine boundary: runCells collects cell errors on the
+// calling goroutine before panicking.
 type cancelSignal struct{ err error }
-
-// runOne executes a single cell synchronously (probes and small
-// grids); batches should go through runCells.
-func (s *Session) runOne(t engine.Task) any {
-	v, err := s.eng.DoCtx(s.context(), t.Spec, t.Fn)
-	if err != nil {
-		panic(cancelSignal{err})
-	}
-	return v
-}
 
 // runCells fans a batch of jobs out across the engine and hands each
 // value back with its grid coordinates.
-func (s *Session) runCells(jobs []cellJob, each func(row, col string, v any)) {
+func (s *Session) runCells(ctx context.Context, jobs []cellJob, each func(row, col string, v any)) {
 	tasks := make([]engine.Task, len(jobs))
 	for i, j := range jobs {
 		tasks[i] = j.task
 	}
-	vals, err := s.eng.RunBatchCtx(s.context(), tasks)
+	vals, err := s.eng.RunBatch(ctx, tasks)
 	if err != nil {
 		panic(cancelSignal{err})
 	}
@@ -203,16 +160,3 @@ func (s *Session) runCells(jobs []cellJob, each func(row, col string, v any)) {
 		each(jobs[i].row, jobs[i].col, v)
 	}
 }
-
-// SetParallelism resizes the Default session's worker pool.
-func SetParallelism(n int) { Default.SetParallelism(n) }
-
-// Parallelism returns the Default session's worker-pool size.
-func Parallelism() int { return Default.Parallelism() }
-
-// EngineStats snapshots the Default session's counters.
-func EngineStats() engine.Stats { return Default.EngineStats() }
-
-// ResetEngineCache drops the Default session's cached cell results
-// (tests only).
-func ResetEngineCache() { Default.ResetCache() }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"bufferqoe/internal/cdn"
@@ -10,13 +11,15 @@ import (
 // wildAnalysis runs (or fetches from the cell cache) the synthetic
 // CDN analysis; the three Figure 1 panels share one population per
 // (seed, flows) pair.
-func wildAnalysis(s *Session, o Options) *cdn.Analysis {
-	return s.runOne(wildTask(o)).(*cdn.Analysis)
+func wildAnalysis(ctx context.Context, s *Session, o Options) *cdn.Analysis {
+	var a *cdn.Analysis
+	s.runCells(ctx, []cellJob{{task: wildTask(o)}}, func(_, _ string, v any) { a = v.(*cdn.Analysis) })
+	return a
 }
 
 // fig1a regenerates the min/avg/max sRTT PDFs.
-func fig1a(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1a(ctx context.Context, s *Session, o Options) (*Result, error) {
+	a := wildAnalysis(ctx, s, o)
 	g := NewGrid("Figure 1a: PDF of log sRTT (sparklines over 1ms..10s)",
 		[]string{"min RTT", "avg RTT", "max RTT"},
 		[]string{"pdf", "mode (ms)"})
@@ -34,8 +37,8 @@ func fig1a(s *Session, o Options) (*Result, error) {
 }
 
 // fig1b regenerates the min-vs-max 2D histogram.
-func fig1b(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1b(ctx context.Context, s *Session, o Options) (*Result, error) {
+	a := wildAnalysis(ctx, s, o)
 	g := NewGrid("Figure 1b: min vs max RTT per flow",
 		[]string{"frac near diagonal (+-1 bin)"}, []string{"value"})
 	g.Set("frac near diagonal (+-1 bin)", "value", Cell{Value: a.MinMax.FracOnDiagonal(1)})
@@ -48,8 +51,8 @@ func fig1b(s *Session, o Options) (*Result, error) {
 
 // fig1c regenerates the estimated queueing-delay PDFs by access
 // technology, plus the headline marginals.
-func fig1c(s *Session, o Options) (*Result, error) {
-	a := wildAnalysis(s, o)
+func fig1c(ctx context.Context, s *Session, o Options) (*Result, error) {
+	a := wildAnalysis(ctx, s, o)
 	rows := []string{"FTTH", "Cable", "ADSL", "all"}
 	g := NewGrid("Figure 1c: PDF of estimated queueing delay (max-min sRTT)",
 		rows, []string{"pdf", "n"})

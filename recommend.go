@@ -273,7 +273,7 @@ func (r *recommendSearch) evaluate(i int) (*evaluation, error) {
 		}
 		specs = append(specs, sp)
 	}
-	values, err := r.s.inner.ProbeBatchCtx(r.ctx, specs, r.o.internal())
+	values, err := r.s.inner.ProbeBatch(r.ctx, specs, r.o.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -4,15 +4,18 @@ import (
 	"context"
 
 	"bufferqoe/internal/experiments"
-	"bufferqoe/internal/qoe"
 )
 
 // Session owns one cell engine: a worker pool, a result cache, and
 // the counters Stats reports. Independent callers — a service
 // handling many users, a test wanting a cold cache — each create
 // their own Session instead of sharing package-global state; the
-// package-level Run/RunAll/Measure*/Sweep functions operate on a
-// process-wide default session, preserving the original behavior.
+// package-level Run/RunAll/Measure*/Recommend functions operate on a
+// process-wide default session. Every method that runs cells takes
+// the context that bounds it as its first argument (Sweep alone keeps
+// its context-free form; SweepCtx is the bounded one): once the
+// context is canceled, queued cells are abandoned, in-flight cells
+// drain into the cache, and the call returns ErrCanceled.
 // Results are a pure function of specs and options, never of which
 // session computed them: the same call gives bit-identical answers on
 // any session at any parallelism.
@@ -26,24 +29,8 @@ func NewSession() *Session {
 	return &Session{inner: experiments.NewSession(0)}
 }
 
-// defaultSession backs the package-level functions; it wraps the
-// experiments package's Default session so probes and experiment runs
-// through either API share one cache.
-var defaultSession = &Session{inner: experiments.Default}
-
-// WithContext returns a view of the session whose runs — Run, RunAll,
-// Sweep, the Measure* probes — are bounded by ctx: once ctx is
-// canceled, queued cells are abandoned (in-flight cells drain into
-// the cache) and the run returns ErrCanceled. The view shares the
-// session's engine, cache, and counters; it scopes calls, it does not
-// create a new session. The explicit-context entry points (RunCtx,
-// SweepCtx, SweepStream, Recommend) are usually more convenient.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	return &Session{inner: s.inner.WithContext(ctx)}
-}
-
-// ctx returns the context this session view is bounded by.
-func (s *Session) ctx() context.Context { return s.inner.Context() }
+// defaultSession backs the package-level functions.
+var defaultSession = NewSession()
 
 // SetParallelism resizes the session's cell worker pool; n <= 0 means
 // GOMAXPROCS. Parallelism never changes results.
@@ -87,25 +74,20 @@ func (s *Session) CloseStore() error { return s.inner.CloseStore() }
 // with OpenStore if persistence is wanted again.
 func (s *Session) ResetCache() { s.inner.ResetCache() }
 
-// Run executes one experiment by ID on the session.
-func (s *Session) Run(id string, o Options) (*Result, error) {
-	res, err := s.inner.Run(id, o.internal())
+// Run executes one experiment by ID on the session, bounded by ctx.
+func (s *Session) Run(ctx context.Context, id string, o Options) (*Result, error) {
+	res, err := s.inner.Run(ctx, id, o.internal())
 	if err != nil {
 		return nil, err
 	}
 	return &Result{ID: res.ID, Text: res.Render(), inner: res}, nil
 }
 
-// RunCtx is Run bounded by ctx: a canceled context abandons the
-// experiment's queued cells and returns ErrCanceled.
-func (s *Session) RunCtx(ctx context.Context, id string, o Options) (*Result, error) {
-	return s.WithContext(ctx).Run(id, o)
-}
-
 // RunAll executes a batch of experiments on the session; see the
-// package-level RunAll for the batching semantics.
-func (s *Session) RunAll(ids []string, o Options) []Outcome {
-	inner := s.inner.RunAll(ids, o.internal())
+// package-level RunAll for the batching semantics. Experiments
+// canceled through ctx record ErrCanceled outcomes instead of results.
+func (s *Session) RunAll(ctx context.Context, ids []string, o Options) []Outcome {
+	inner := s.inner.RunAll(ctx, ids, o.internal())
 	out := make([]Outcome, len(inner))
 	for i, oc := range inner {
 		out[i] = Outcome{ID: oc.ID, Err: oc.Err, Elapsed: oc.Elapsed}
@@ -116,74 +98,60 @@ func (s *Session) RunAll(ids []string, o Options) []Outcome {
 	return out
 }
 
-// RunAllCtx is RunAll bounded by ctx: canceled experiments record
-// ErrCanceled outcomes instead of results.
-func (s *Session) RunAllCtx(ctx context.Context, ids []string, o Options) []Outcome {
-	return s.WithContext(ctx).RunAll(ids, o)
-}
-
 // The Measure* methods compile a one-cell Scenario/Probe pair through
-// the same spec path as Sweep, so an unknown scenario, direction, or
-// profile returns an error here instead of crashing a worker
-// goroutine, and a probe of a configuration any sweep or experiment
-// on this session has visited is a cache hit.
+// the same spec path as Sweep and score it with the same sweepCell
+// mapping, so an unknown scenario, direction, or profile returns an
+// error here instead of crashing a worker goroutine, a probe of a
+// configuration any sweep or experiment on this session has visited
+// is a cache hit, and a Measure* result always equals the matching
+// sweep cell.
 
-// measure compiles one legacy probe and runs it. On the backbone the
-// caller's direction is ignored (the paper's backbone is
+// measure compiles one legacy probe, runs it, and scores it. On the
+// backbone the caller's direction is ignored (the paper's backbone is
 // downstream-only and the pre-Session probes accepted any direction
 // there), matching the historical Measure* behavior.
-func (s *Session) measure(n Network, scenario string, dir Direction, buffer int, p Probe, o Options) (experiments.ProbeValue, error) {
+func (s *Session) measure(ctx context.Context, n Network, scenario string, dir Direction, buffer int, p Probe, o Options) (SweepCell, experiments.ProbeValue, error) {
 	sc := Scenario{Network: n, Workload: scenario, Direction: dir}
 	if n == Backbone {
 		sc.Direction = ""
 	}
 	spec, err := sc.spec(p, buffer)
 	if err != nil {
-		return experiments.ProbeValue{}, err
+		return SweepCell{}, experiments.ProbeValue{}, err
 	}
-	return s.inner.Probe(spec, o.internal())
+	v, err := s.inner.ProbeBatch(ctx, []experiments.ProbeSpec{spec}, o.internal())
+	if err != nil {
+		return SweepCell{}, experiments.ProbeValue{}, err
+	}
+	return sweepCell("", "", buffer, sc, p, v[0]), v[0], nil
 }
 
 // MeasureVoIP runs VoIP calls under the named workload and returns
 // median scores; see the package-level MeasureVoIP.
-func (s *Session) MeasureVoIP(n Network, scenario string, dir Direction, buffer int, o Options) (VoIPResult, error) {
-	v, err := s.measure(n, scenario, dir, buffer, Probe{Media: VoIP}, o)
+func (s *Session) MeasureVoIP(ctx context.Context, n Network, scenario string, dir Direction, buffer int, o Options) (VoIPResult, error) {
+	c, _, err := s.measure(ctx, n, scenario, dir, buffer, Probe{Media: VoIP}, o)
 	if err != nil {
 		return VoIPResult{}, err
 	}
-	out := VoIPResult{
-		ListenMOS:    v.ListenMOS,
-		ListenRating: string(qoe.VoIPSatisfaction(v.ListenMOS)),
-	}
-	if n != Backbone {
-		out.TalkMOS = v.TalkMOS
-		out.TalkRating = string(qoe.VoIPSatisfaction(v.TalkMOS))
-	}
-	return out, nil
+	return VoIPResult{ListenMOS: c.MOS, ListenRating: c.Rating, TalkMOS: c.TalkMOS, TalkRating: c.TalkRating}, nil
 }
 
 // MeasureWeb fetches the paper's static page under the named workload
 // and returns the median page load time with its G.1030 score.
-func (s *Session) MeasureWeb(n Network, scenario string, dir Direction, buffer int, o Options) (WebResult, error) {
-	v, err := s.measure(n, scenario, dir, buffer, Probe{Media: Web}, o)
+func (s *Session) MeasureWeb(ctx context.Context, n Network, scenario string, dir Direction, buffer int, o Options) (WebResult, error) {
+	c, v, err := s.measure(ctx, n, scenario, dir, buffer, Probe{Media: Web}, o)
 	if err != nil {
 		return WebResult{}, err
 	}
-	model := qoe.AccessWebModel()
-	if n == Backbone {
-		model = qoe.BackboneWebModel()
-	}
-	mos := model.MOS(v.PLT)
-	return WebResult{MedianPLT: v.PLT, MOS: mos, Rating: string(qoe.Rate(mos))}, nil
+	return WebResult{MedianPLT: v.PLT, MOS: c.MOS, Rating: c.Rating}, nil
 }
 
 // MeasureVideo streams the paper's clip C at "SD" (4 Mbit/s) or "HD"
 // (8 Mbit/s) and returns the median SSIM with its MOS mapping.
-func (s *Session) MeasureVideo(n Network, scenario, profile string, buffer int, o Options) (VideoResult, error) {
-	v, err := s.measure(n, scenario, "", buffer, Probe{Media: Video, Profile: profile}, o)
+func (s *Session) MeasureVideo(ctx context.Context, n Network, scenario, profile string, buffer int, o Options) (VideoResult, error) {
+	c, _, err := s.measure(ctx, n, scenario, "", buffer, Probe{Media: Video, Profile: profile}, o)
 	if err != nil {
 		return VideoResult{}, err
 	}
-	mos := qoe.SSIMToMOS(v.SSIM)
-	return VideoResult{SSIM: v.SSIM, MOS: mos, Rating: string(qoe.Rate(mos))}, nil
+	return VideoResult{SSIM: c.Value, MOS: c.MOS, Rating: c.Rating}, nil
 }

@@ -17,7 +17,7 @@ func TestLegacyPathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSession, err := NewSession().Run("fig1a", o)
+	viaSession, err := NewSession().Run(t.Context(), "fig1a", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLegacyPathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := NewSession().MeasureVoIP(Access, "short-few", Up, 64, o)
+	sv, err := NewSession().MeasureVoIP(t.Context(), Access, "short-few", Up, 64, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestLegacyPathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewSession().MeasureWeb(Backbone, "short-low", "", 749, o)
+	sw, err := NewSession().MeasureWeb(t.Context(), Backbone, "short-low", "", 749, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSessionsAreIsolated(t *testing.T) {
 	if a.Parallelism() != 2 || b.Parallelism() != 5 {
 		t.Fatalf("parallelism leaked: a=%d b=%d", a.Parallelism(), b.Parallelism())
 	}
-	if _, err := a.MeasureWeb(Access, "noBG", Down, 64, probeOpts()); err != nil {
+	if _, err := a.MeasureWeb(t.Context(), Access, "noBG", Down, 64, probeOpts()); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.Stats(); st.Misses == 0 || st.Workers != 2 {
@@ -109,7 +109,7 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	zero := Options{Seed: 9}
 
-	r1, err := s.MeasureVoIP(Access, "noBG", Down, 64, negative)
+	r1, err := s.MeasureVoIP(t.Context(), Access, "noBG", Down, 64, negative)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOptionsNormalization(t *testing.T) {
 	if afterFirst.Misses == 0 {
 		t.Fatalf("first probe did not simulate: %+v", afterFirst)
 	}
-	r2, err := s.MeasureVoIP(Access, "noBG", Down, 64, zero)
+	r2, err := s.MeasureVoIP(t.Context(), Access, "noBG", Down, 64, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOptionsNormalization(t *testing.T) {
 	// The defaulted run must match an explicit spelling of the
 	// documented defaults (seed aside, which has its own default).
 	explicit := Options{Seed: 9, Duration: 30 * time.Second, Warmup: 5 * time.Second, Reps: 3, ClipSeconds: 4, CDNFlows: 200000}
-	r3, err := s.MeasureVoIP(Access, "noBG", Down, 64, explicit)
+	r3, err := s.MeasureVoIP(t.Context(), Access, "noBG", Down, 64, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,6 @@ func (s *Session) SweepStream(ctx context.Context, sw Sweep, o Options) iter.Seq
 	}
 }
 
-// SweepStream streams a sweep on the default session; see
-// Session.SweepStream.
-func SweepStream(ctx context.Context, sw Sweep, o Options) iter.Seq2[SweepCell, error] {
-	return defaultSession.SweepStream(ctx, sw, o)
-}
-
 // SweepCtx is Sweep bounded by ctx: the full grid, or ErrCanceled if
 // the context was canceled before every cell executed. It consumes
 // the same execution path as SweepStream, so grid and stream cannot
@@ -68,11 +62,6 @@ func (s *Session) SweepCtx(ctx context.Context, sw Sweep, o Options) (*Grid, err
 		return nil, err
 	}
 	return plan.grid, nil
-}
-
-// SweepGridCtx runs a ctx-bounded sweep on the default session.
-func SweepGridCtx(ctx context.Context, sw Sweep, o Options) (*Grid, error) {
-	return defaultSession.SweepCtx(ctx, sw, o)
 }
 
 // streamSweep executes a compiled sweep plan, invoking emit(i, cell)

@@ -223,24 +223,24 @@ func TestSweepCtxCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancellation: the experiment-runner path (grid runners
-// with no ctx plumbing of their own) surfaces cancellation as an
-// ordinary ErrCanceled return, and RunAllCtx records it per outcome.
+// TestRunCtxCancellation: the experiment-runner path surfaces a
+// canceled ctx as an ordinary ErrCanceled return, and RunAll records
+// it per outcome.
 func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := NewSession()
-	if _, err := s.RunCtx(ctx, "fig7b", probeOpts()); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RunCtx err = %v, want ErrCanceled", err)
+	if _, err := s.Run(ctx, "fig7b", probeOpts()); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run err = %v, want ErrCanceled", err)
 	}
-	outcomes := s.RunAllCtx(ctx, []string{"fig7a", "fig7b"}, probeOpts())
+	outcomes := s.RunAll(ctx, []string{"fig7a", "fig7b"}, probeOpts())
 	for _, oc := range outcomes {
 		if !errors.Is(oc.Err, ErrCanceled) {
 			t.Fatalf("outcome %s err = %v, want ErrCanceled", oc.ID, oc.Err)
 		}
 	}
-	// Measure* probes observe a WithContext bound the same way.
-	if _, err := s.WithContext(ctx).MeasureVoIP(Access, "noBG", Up, 64, probeOpts()); !errors.Is(err, ErrCanceled) {
+	// Measure* probes observe their ctx the same way.
+	if _, err := s.MeasureVoIP(ctx, Access, "noBG", Up, 64, probeOpts()); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MeasureVoIP err = %v, want ErrCanceled", err)
 	}
 }

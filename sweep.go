@@ -1,6 +1,7 @@
 package bufferqoe
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -219,9 +220,9 @@ func (p *sweepPlan) cell(i int, v experiments.ProbeValue) SweepCell {
 // and returns the structured results. Every combination is validated
 // before any cell is simulated, so an invalid corner fails the call
 // instead of crashing a worker mid-run. Sweep is SweepCtx without a
-// deadline (it still observes a WithContext bound on the session).
+// deadline.
 func (s *Session) Sweep(sw Sweep, o Options) (*Grid, error) {
-	return s.SweepCtx(s.ctx(), sw, o)
+	return s.SweepCtx(context.Background(), sw, o)
 }
 
 // sweepCell scores one raw probe value on the opinion scale.

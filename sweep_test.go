@@ -179,26 +179,63 @@ func TestScenarioLabels(t *testing.T) {
 }
 
 // TestMeasureProbesShareSweepCache: a Measure* probe of a cell a
-// sweep has visited must be answered from the session cache.
+// sweep has visited must be answered from the session cache, and it
+// must report that sweep cell's values field by field — the probes
+// score through the same mapping as Sweep, on both testbeds.
 func TestMeasureProbesShareSweepCache(t *testing.T) {
 	s := NewSession()
-	sw := Sweep{
-		Scenarios: []Scenario{{Workload: "noBG"}},
-		Buffers:   []int{64},
-		Probes:    []Probe{{Media: VoIP}},
-	}
-	if _, err := s.Sweep(sw, sweepOpts()); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-	if _, err := s.MeasureVoIP(Access, "noBG", Down, 64, sweepOpts()); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats()
-	if after.Misses != before.Misses {
-		t.Fatalf("probe re-simulated a swept cell: %+v -> %+v", before, after)
-	}
-	if after.Hits == before.Hits {
-		t.Fatalf("probe did not hit the cache: %+v -> %+v", before, after)
+	o := sweepOpts()
+	probes := []Probe{{Media: VoIP}, {Media: Web}, {Media: Video, Profile: "SD"}}
+	// Congested workloads, so that listen and talk MOS differ on the
+	// access line and a swapped field cannot pass. Downstream
+	// congestion, because MeasureVideo takes no direction.
+	for _, tc := range []struct {
+		n   Network
+		wl  string
+		dir Direction
+		buf int
+	}{{Access, "short-few", Down, 64}, {Backbone, "short-low", "", 749}} {
+		sc := Scenario{Network: tc.n, Workload: tc.wl, Direction: tc.dir}
+		g, err := s.Sweep(Sweep{Scenarios: []Scenario{sc}, Buffers: []int{tc.buf}, Probes: probes}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		v, err := s.MeasureVoIP(t.Context(), tc.n, tc.wl, tc.dir, tc.buf, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := s.MeasureWeb(t.Context(), tc.n, tc.wl, tc.dir, tc.buf, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vid, err := s.MeasureVideo(t.Context(), tc.n, tc.wl, "SD", tc.buf, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.Stats()
+		if after.Misses != before.Misses || after.Hits != before.Hits+3 {
+			t.Fatalf("%s: probes did not all hit the swept cells: %+v -> %+v", tc.n, before, after)
+		}
+
+		c := g.Cells[0]
+		if v.ListenMOS != c.MOS || v.ListenMOS != c.Value || v.ListenRating != c.Rating ||
+			v.TalkMOS != c.TalkMOS || v.TalkRating != c.TalkRating {
+			t.Fatalf("%s: MeasureVoIP %+v != sweep cell %+v", tc.n, v, c)
+		}
+		if tc.n == Access && (v.TalkMOS <= 0 || v.TalkRating == "") {
+			t.Fatalf("access: talk direction missing: %+v", v)
+		}
+		if tc.n == Backbone && (v.TalkMOS != 0 || v.TalkRating != "") {
+			t.Fatalf("backbone: talk direction reported on a one-way path: %+v", v)
+		}
+		c = g.Cells[1]
+		if w.MedianPLT.Seconds() != c.Value || w.MOS != c.MOS || w.Rating != c.Rating {
+			t.Fatalf("%s: MeasureWeb %+v != sweep cell %+v", tc.n, w, c)
+		}
+		c = g.Cells[2]
+		if vid.SSIM != c.Value || vid.MOS != c.MOS || vid.Rating != c.Rating {
+			t.Fatalf("%s: MeasureVideo %+v != sweep cell %+v", tc.n, vid, c)
+		}
 	}
 }
